@@ -190,3 +190,11 @@ def comparison_range(s, t, d) -> ComparisonRange:
         nonempty_numeric=upper <= -t,
         regime=regime,
     )
+
+
+def annotate(bound, *args):
+    """`bound(*args).to_dict()`, or `{"error": message}` if the bound refuses them."""
+    try:
+        return bound(*args).to_dict()
+    except ValueError as e:
+        return {"error": str(e)}

@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .bounds import (comparison_range, cs_bound_exponent, dov_bound,
+from .bounds import (annotate, comparison_range, cs_bound_exponent, dov_bound,
                      main_bound, thm2d_exponent)
 from .constructions import construct_grid, construct_random, construct_sharp, ConstructionSpec
 from .cover import slab_intersection_cover, verify_cover
@@ -122,26 +122,15 @@ def _cmd_count(args):
 
 
 def _cmd_bounds(args):
-    out = {}
-    try:
-        out["planar"] = thm2d_exponent(args.s, args.t).to_dict()
-    except ValueError as e:
-        out["planar"] = {"error": str(e)}
-    out["linear"] = main_bound(args.delta, args.n_points, args.n_planes).to_dict()
-    try:
-        out["cauchy_schwarz"] = cs_bound_exponent(args.s, args.t, args.dim).to_dict()
-    except ValueError as e:
-        out["cauchy_schwarz"] = {"error": str(e)}
-    try:
-        out["separated_planes"] = dov_bound(
-            args.delta, args.s, args.dim, args.n_points, args.n_planes
-        ).to_dict()
-    except ValueError as e:
-        out["separated_planes"] = {"error": str(e)}
-    try:
-        out["comparison"] = comparison_range(args.s, args.t, args.dim).to_dict()
-    except ValueError as e:
-        out["comparison"] = {"error": str(e)}
+    out = {
+        "planar": annotate(thm2d_exponent, args.s, args.t),
+        "linear": main_bound(args.delta, args.n_points, args.n_planes).to_dict(),
+        "cauchy_schwarz": annotate(cs_bound_exponent, args.s, args.t, args.dim),
+        "separated_planes": annotate(
+            dov_bound, args.delta, args.s, args.dim, args.n_points, args.n_planes
+        ),
+        "comparison": annotate(comparison_range, args.s, args.t, args.dim),
+    }
     _emit(out, args.out)
     return 0
 

@@ -6,17 +6,20 @@ with one side of length ~ delta/w along the in-plane direction normal to
 the fold line and the remaining sides of length ~ delta, about
 delta^-(d-2) boxes in all.  The construction rotates pi1 to horizontal,
 intersects the horizontal slab with the strip the second slab cuts in it,
-and tiles that strip; a sampling verifier with independent membership
-predicates checks the result and its count bound.
+and tiles that strip with one frame and an array of centres.  A sampling
+verifier with its own rejection sampler checks the result by the exact test
+of `Box.contains`; a kd-tree only proposes candidate boxes, so the verdict
+never rests on the tiling arithmetic.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
+from scipy.linalg import block_diag
+from scipy.spatial import cKDTree
 
 from .geometry import check_plane_coeffs, point_plane_distance, unit_normal_norms
 
@@ -26,6 +29,12 @@ COUNT_CONSTANT = 64
 # boundaries cannot fall out of their tile through rounding; it dwarfs the
 # 1e-15-level error of the rotation but stays far below delta.
 _INFLATE = 1e-9
+
+# The candidate search works in frame coordinates divided by the half-lengths,
+# where each box is the unit max-norm ball about its centre.  Rounding errors
+# there are ~1e-16 of the coordinate size; widening the search by this relative
+# margin dwarfs them and the 1e-12 tolerance, so no accepted box is missed.
+_CANDIDATE_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -65,28 +74,44 @@ class Box:
 
 @dataclass(frozen=True)
 class BoxCover:
-    boxes: tuple
+    """Congruent boxes stored as arrays: box k has centre `centers[k]` (rows
+    in tiling order) and the shared frame `axes`, `half_lengths`,
+    `thin_axis`.  The frame is checked once, through one `Box` at the
+    origin, with the shape of `centers` and the count bound.  `boxes` and
+    `to_dict()` are per-box views built on demand without re-checking."""
+
+    centers: np.ndarray
+    axes: np.ndarray
+    half_lengths: np.ndarray
+    thin_axis: int
     w: float
     delta: float
     dim: int
     count_bound: float
 
     def __post_init__(self):
-        if len(self.boxes) > self.count_bound:
+        if self.centers.shape[1:] != (self.dim,):
+            raise ValueError(f"centers must form an (n, {self.dim}) array")
+        Box(np.zeros(self.dim), self.axes, self.half_lengths, self.thin_axis)
+        if len(self.centers) > self.count_bound:
             raise ValueError(
-                f"cover has {len(self.boxes)} boxes, exceeding its bound "
-                f"{self.count_bound}"
+                f"cover has {len(self.centers)} boxes, exceeding its bound {self.count_bound}"
             )
 
+    @property
+    def boxes(self):
+        """One `Box` per centre, in tiling order, bypassing `Box`'s checks."""
+        frame = dict(axes=self.axes, half_lengths=self.half_lengths, thin_axis=self.thin_axis)
+        views = tuple(object.__new__(Box) for _ in self.centers)
+        for box, center in zip(views, self.centers):
+            box.__dict__.update(frame, center=center)
+        return views
+
     def scaled(self, factor):
-        """Same centers and frames with every half-length multiplied by
+        """Same centers and frame with every half-length multiplied by
         `factor`.  Meant for negative controls: a shrunken cover of a
         nonempty intersection must produce misses."""
-        boxes = tuple(
-            Box(b.center, b.axes, b.half_lengths * factor, b.thin_axis)
-            for b in self.boxes
-        )
-        return BoxCover(boxes, self.w, self.delta, self.dim, self.count_bound)
+        return replace(self, half_lengths=self.half_lengths * factor)
 
     def to_dict(self):
         return {
@@ -139,21 +164,6 @@ def _frame(pi1, pi2, delta):
     }
 
 
-def affine_gap(pi1, pi2, delta=2.0**-4):
-    """d_A distance of two coefficient vectors (validation included)."""
-    return _frame(pi1, pi2, delta)["w"]
-
-
-def _empty_cover(frame, delta):
-    return BoxCover(
-        boxes=(),
-        w=frame["w"],
-        delta=float(delta),
-        dim=frame["dim"],
-        count_bound=COUNT_CONSTANT * float(delta) ** -(frame["dim"] - 2),
-    )
-
-
 def slab_intersection_cover(pi1, pi2, delta) -> BoxCover:
     """Boxes of half-lengths (delta/w, delta, ..., delta) covering
     pi1(delta) & pi2(delta) & B(0,1), for euclidean slabs at C = 1.
@@ -171,26 +181,26 @@ def slab_intersection_cover(pi1, pi2, delta) -> BoxCover:
         raise ValueError(
             f"scales merge below separation: w = {w:.3e} <= delta = {delta:.3e}"
         )
+    bound = COUNT_CONSTANT * float(delta) ** -(d - 2)
+    empty = BoxCover(np.empty((0, d)), np.eye(d), np.full(d, delta), 0, w, float(delta), d, bound)
     m_norm, gamma, radius = fr["m_norm"], fr["gamma"], fr["ball_radius"]
     if m_norm < delta / 4.0:
         if abs(gamma) > 2.0 * delta + m_norm * radius:
-            return _empty_cover(fr, delta)
+            return empty
         raise ValueError(
             "near-parallel pancake: the second slab cuts the first in a "
             f"full-width sheet (|m| = {m_norm:.3e} < delta/4, w = {w:.3e}); "
             "no thin-box cover meets the count bound in this regime"
         )
-    tau_lo = (-gamma - 2.0 * delta) / m_norm
-    tau_hi = (-gamma + 2.0 * delta) / m_norm
-    lo, hi = max(tau_lo, -radius), min(tau_hi, radius)
+    lo = max((-gamma - 2.0 * delta) / m_norm, -radius)
+    hi = min((-gamma + 2.0 * delta) / m_norm, radius)
     if lo > hi:
-        return _empty_cover(fr, delta)
+        return empty
 
     house = fr["rotation"]
     e_beta = fr["m"] / m_norm
     # complete e_beta to an orthonormal basis of the in-plane coordinates
-    basis_src = np.column_stack([e_beta, np.eye(d - 1)])
-    q = np.linalg.qr(basis_src)[0]
+    q = np.linalg.qr(np.column_stack([e_beta, np.eye(d - 1)]))[0]
     if q[:, 0] @ e_beta < 0:
         q = -q
     h_thin = delta / w
@@ -198,28 +208,13 @@ def slab_intersection_cover(pi1, pi2, delta) -> BoxCover:
     n_perp = int(math.ceil(radius / delta))
     half = np.full(d, delta * (1.0 + _INFLATE))
     half[0] = h_thin * (1.0 + _INFLATE)
-    axes = np.vstack([(house @ np.append(q[:, j], 0.0)) for j in range(d - 1)]
-                     + [house @ np.eye(d)[d - 1]])
-    boxes = []
-    perp_centers = [
-        [-radius + delta * (2 * j + 1) for j in range(n_perp)]
-    ] * (d - 2)
-    for i in range(n_thin):
-        beta_c = lo + h_thin * (2 * i + 1)
-        for combo in itertools.product(*perp_centers):
-            xi = np.empty(d)
-            xi[0] = beta_c
-            xi[1 : d - 1] = combo
-            xi[d - 1] = fr["vertical_center"]
-            center = house @ np.append(q @ xi[: d - 1], xi[d - 1])
-            boxes.append(Box(center, axes, half.copy(), thin_axis=0))
-    return BoxCover(
-        boxes=tuple(boxes),
-        w=w,
-        delta=float(delta),
-        dim=d,
-        count_bound=COUNT_CONSTANT * float(delta) ** -(d - 2),
-    )
+    axes = (house @ block_diag(q, 1.0)).T  # rows: q's columns and the vertical, rotated back
+    # tile centres in frame coordinates, the last coordinate varying fastest
+    thin = lo + h_thin * (2 * np.arange(n_thin) + 1)
+    perp = -radius + delta * (2 * np.arange(n_perp) + 1)
+    grid = np.meshgrid(thin, *[perp] * (d - 2), [fr["vertical_center"]], indexing="ij")
+    xi = np.stack([g.ravel() for g in grid], axis=-1)
+    return BoxCover(xi @ axes, axes, half, 0, w, float(delta), d, bound)
 
 
 @dataclass(frozen=True)
@@ -233,15 +228,22 @@ class CoverageReport:
     note: str = ""
 
     def to_dict(self):
-        return {
-            "fraction": self.fraction,
-            "requested": self.requested,
-            "obtained": self.obtained,
-            "miss_count": self.miss_count,
-            "miss_examples": [list(p) for p in self.miss_examples],
-            "vacuous": self.vacuous,
-            "note": self.note,
-        }
+        return {**asdict(self), "miss_examples": [list(p) for p in self.miss_examples]}
+
+
+def _covered(cover, pts):
+    """Mask of the rows of `pts` inside some box of `cover`: the expression of
+    `Box.contains`, at its default tolerance, on the pairs a kd-tree proposes."""
+    to_unit = cover.axes.T / cover.half_lengths
+    size = 1.0 + max(np.abs(cover.centers).max(initial=0.0), np.abs(pts).max(initial=0.0))
+    reach = 1.0 + _CANDIDATE_MARGIN * size / cover.half_lengths.min()
+    pairs = cKDTree(pts @ to_unit).sparse_distance_matrix(
+        cKDTree(cover.centers @ to_unit), reach, p=np.inf, output_type="ndarray"
+    )
+    i, k = pairs["i"], pairs["j"]
+    y = np.abs((pts[i] - cover.centers[k]) @ cover.axes.T)
+    inside = np.all(y <= cover.half_lengths + 1e-12, axis=-1)
+    return np.bincount(i[inside], minlength=len(pts)) > 0
 
 
 def verify_cover(pi1, pi2, delta, cover: BoxCover, n_samples=10_000, seed=0):
@@ -268,8 +270,7 @@ def verify_cover(pi1, pi2, delta, cover: BoxCover, n_samples=10_000, seed=0):
     else:
         lo, hi = -radius, radius
     e_beta = (fr["m"] / m_norm) if m_norm > 0 else np.eye(d - 1)[0]
-    basis_src = np.column_stack([e_beta, np.eye(d - 1)])
-    q = np.linalg.qr(basis_src)[0]
+    q = np.linalg.qr(np.column_stack([e_beta, np.eye(d - 1)]))[0]
     house = fr["rotation"]
 
     rng = np.random.default_rng(seed)
@@ -301,12 +302,7 @@ def verify_cover(pi1, pi2, delta, cover: BoxCover, n_samples=10_000, seed=0):
             f"no intersection point found in {drawn} proposals",
         )
     pts = np.vstack(samples)[:n_samples]
-    covered = np.zeros(len(pts), dtype=bool)
-    for box in cover.boxes:
-        rem = ~covered
-        if not rem.any():
-            break
-        covered[rem] = box.contains(pts[rem])
+    covered = _covered(cover, pts)
     misses = np.flatnonzero(~covered)
     note = "" if len(pts) == n_samples else (
         f"sampler obtained {len(pts)} of {n_samples} requested points"

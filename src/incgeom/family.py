@@ -9,6 +9,7 @@ decimals with 17 significant digits, which round-trips float64 exactly.
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from dataclasses import dataclass, field
 
@@ -46,8 +47,9 @@ class Family:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown family kind {self.kind!r}; expected {KINDS}")
-        if not (isinstance(self.dim, int) and self.dim >= 2):
+        if isinstance(self.dim, bool) or not isinstance(self.dim, numbers.Integral) or self.dim < 2:
             raise ValueError(f"dimension must be an integer >= 2, got {self.dim!r}")
+        object.__setattr__(self, "dim", int(self.dim))
         if not (0.0 < self.delta < 1.0):
             raise ValueError(f"delta must lie in (0, 1), got {self.delta!r}")
         arr = np.array(self.elements, dtype=np.float64, copy=True)

@@ -17,10 +17,10 @@ from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
 from ._version import __version__
-from .bounds import (comparison_range, cs_bound_exponent, dov_bound,
+from .bounds import (annotate, comparison_range, cs_bound_exponent, dov_bound,
                      main_bound, thm2d_exponent)
 from .constructions import ConstructionSpec, construct_sharp
-from .family import Family, read_family, write_family  # noqa: F401  (re-export)
+from .family import Family, read_family
 from .incidence import count_incidences_fast, count_incidences_oracle
 from .regularity import min_separation, regularity_constant
 
@@ -102,29 +102,13 @@ def _bound_annotations(config, n_points, n_planes, incidence):
     )
     ann["linear"] = entry
     if config.dim == 2:
-        try:
-            ann["planar"] = thm2d_exponent(config.s, config.t).to_dict()
-        except ValueError as e:
-            ann["planar"] = {"error": str(e)}
+        ann["planar"] = annotate(thm2d_exponent, config.s, config.t)
     else:
-        try:
-            ann["cauchy_schwarz"] = cs_bound_exponent(
-                config.s, config.t, config.dim
-            ).to_dict()
-        except ValueError as e:
-            ann["cauchy_schwarz"] = {"error": str(e)}
-        try:
-            ann["separated_planes"] = dov_bound(
-                config.delta, config.s, config.dim, n_points, n_planes
-            ).to_dict()
-        except ValueError as e:
-            ann["separated_planes"] = {"error": str(e)}
-        try:
-            ann["comparison"] = comparison_range(
-                config.s, config.t, config.dim
-            ).to_dict()
-        except ValueError as e:
-            ann["comparison"] = {"error": str(e)}
+        ann["cauchy_schwarz"] = annotate(cs_bound_exponent, config.s, config.t, config.dim)
+        ann["separated_planes"] = annotate(
+            dov_bound, config.delta, config.s, config.dim, n_points, n_planes
+        )
+        ann["comparison"] = annotate(comparison_range, config.s, config.t, config.dim)
     return ann
 
 

@@ -13,6 +13,7 @@ center plane, bucketed by the affine metric.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -93,6 +94,11 @@ def _assemble(count, per_plane, per_point, cdelta, mode, delta):
     )
 
 
+def _thread_count(workers, n_chunks):
+    """Threads for `n_chunks` pieces of work: at most the CPUs, pieces and `workers`."""
+    return max(1, min(workers, os.cpu_count() or 1, n_chunks))
+
+
 def count_incidences_oracle(points_fam, planes_fam, cdelta, mode="euclidean", workers=1):
     """Ground-truth count: the shared predicate over every (point, plane)
     pair, evaluated in plane blocks.  Parallelism only splits the blocks;
@@ -116,8 +122,9 @@ def count_incidences_oracle(points_fam, planes_fam, cdelta, mode="euclidean", wo
             )
             return j0, j1, mask.sum(axis=0, dtype=np.int64), mask.sum(axis=1, dtype=np.int64)
 
-        if workers > 1 and len(spans) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
+        threads = _thread_count(workers, len(spans))
+        if threads > 1:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
                 results = list(pool.map(run, spans))
         else:
             results = [run(s) for s in spans]
@@ -281,15 +288,16 @@ def count_incidences_fast(points_fam, planes_fam, cdelta, mode="euclidean",
         norms = unit_normal_norms(coeffs)
         abs_slopes = np.abs(coeffs[:, :-1])
         thresholds = cdelta * norms if mode == "euclidean" else np.full(m, float(cdelta))
-        chunks = [c for c in np.array_split(np.arange(m, dtype=np.int64), max(1, workers)) if c.size]
+        threads = _thread_count(workers, m)
+        chunks = np.array_split(np.arange(m, dtype=np.int64), threads)
 
         def run(chunk):
             return _count_chunk(
                 tree, coeffs, norms, abs_slopes, thresholds, cdelta, mode, chunk, m
             )
 
-        if workers > 1 and len(chunks) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
+        if threads > 1:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
                 results = list(pool.map(run, chunks))
         else:
             results = [run(c) for c in chunks]

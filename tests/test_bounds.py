@@ -1,6 +1,6 @@
 import pytest
 
-from incgeom.bounds import (BoundValue, ComparisonRange, comparison_range,
+from incgeom.bounds import (BoundValue, ComparisonRange, annotate, comparison_range,
                             cs_bound_exponent, dov_bound, main_bound,
                             thm2d_exponent)
 
@@ -174,3 +174,13 @@ def test_bound_value_default_exponents():
     assert bv.point_count_exponent == 1.0
     assert bv.plane_count_exponent == 1.0
     assert bv.evaluate(0.25, 2, 3) == pytest.approx(0.5 * 6, rel=1e-12)
+
+
+class TestAnnotate:
+    def test_applicable_bound_is_its_dict(self):
+        assert annotate(comparison_range, 1.5, 1.2, 3) == comparison_range(1.5, 1.2, 3).to_dict()
+
+    def test_refused_bound_is_an_error_marker(self):
+        assert annotate(dov_bound, 0.1, 0.5, 3, 10, 10) == {
+            "error": "this bound requires s > 1, got s = 0.5"
+        }

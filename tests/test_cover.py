@@ -1,6 +1,10 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
+from incgeom import cover as cover_mod
 from incgeom.cover import (Box, BoxCover, COUNT_CONSTANT,
                            slab_intersection_cover, verify_cover)
 from incgeom.geometry import point_plane_distance
@@ -97,9 +101,20 @@ class TestCoverConstruction:
         assert report.fraction == 1.0
 
     def test_count_bound_enforced_by_boxcover(self):
-        box = Box(np.zeros(2), np.eye(2), np.ones(2), 0)
         with pytest.raises(ValueError, match="exceeding"):
-            BoxCover(boxes=(box, box), w=0.5, delta=0.25, dim=2, count_bound=1)
+            BoxCover(centers=np.zeros((2, 2)), axes=np.eye(2), half_lengths=np.ones(2),
+                     thin_axis=0, w=0.5, delta=0.25, dim=2, count_bound=1)
+
+    def test_boxcover_checks_its_frame_once(self):
+        frame = dict(w=0.5, delta=0.25, dim=2, count_bound=10)
+        with pytest.raises(ValueError, match="orthonormal"):
+            BoxCover(np.zeros((1, 2)), np.array([[1.0, 0.0], [1.0, 1.0]]), np.ones(2), 0, **frame)
+        with pytest.raises(ValueError, match="positive"):
+            BoxCover(np.zeros((1, 2)), np.eye(2), np.array([1.0, 0.0]), 0, **frame)
+        with pytest.raises(ValueError, match="thin_axis"):
+            BoxCover(np.zeros((1, 2)), np.eye(2), np.ones(2), 2, **frame)
+        with pytest.raises(ValueError, match="centers"):
+            BoxCover(np.zeros((1, 3)), np.eye(2), np.ones(2), 0, **frame)
 
 
 class TestVerifyCover:
@@ -156,3 +171,159 @@ class TestSerialization:
         orig = reference_cover.boxes[0].half_lengths
         assert np.allclose(shrunk.boxes[0].half_lengths, orig * 0.5)
         assert shrunk.w == reference_cover.w
+
+
+def _scan_covered(cover, pts):
+    """Brute-force reference: `Box.contains` box by box over `cover.boxes`."""
+    covered = np.zeros(len(pts), dtype=bool)
+    for box in cover.boxes:
+        rem = ~covered
+        if not rem.any():
+            break
+        covered[rem] = box.contains(pts[rem])
+    return covered
+
+
+def _tile_by_tile_centers(pi1, pi2, delta):
+    """Reference tiling: one centre per tile, built in a Python loop over the
+    thin index and the perpendicular grid, each mapped back on its own."""
+    fr = cover_mod._frame(pi1, pi2, delta)
+    d, m_norm, radius = fr["dim"], fr["m_norm"], fr["ball_radius"]
+    lo = max((-fr["gamma"] - 2.0 * delta) / m_norm, -radius)
+    hi = min((-fr["gamma"] + 2.0 * delta) / m_norm, radius)
+    e_beta = fr["m"] / m_norm
+    q = np.linalg.qr(np.column_stack([e_beta, np.eye(d - 1)]))[0]
+    if q[:, 0] @ e_beta < 0:
+        q = -q
+    h_thin = delta / fr["w"]
+    n_thin = max(int(math.ceil((hi - lo) / (2.0 * h_thin))), 1)
+    n_perp = int(math.ceil(radius / delta))
+    perp = [[-radius + delta * (2 * j + 1) for j in range(n_perp)]] * (d - 2)
+    centers = []
+    for i in range(n_thin):
+        for combo in itertools.product(*perp):
+            xi = np.array([lo + h_thin * (2 * i + 1), *combo])
+            centers.append(fr["rotation"] @ np.append(q @ xi, fr["vertical_center"]))
+    return np.array(centers)
+
+
+def _seeded_pairs():
+    """Plane pairs through the unit ball in d = 2, 3, 4, with delta."""
+    rng = np.random.default_rng(11)
+    for d, delta in ((2, 2.0**-7), (3, 2.0**-6), (4, 2.0**-4)):
+        for _ in range(2):
+            base = rng.uniform(-0.05, 0.05, size=d - 1)
+            slopes = base + rng.uniform(0.1, 0.3, size=d - 1) * rng.choice([-1, 1], size=d - 1)
+            b1 = rng.uniform(-0.3, 0.3)
+            b2 = b1 + rng.uniform(-1.5 * delta, 1.5 * delta)
+            yield np.append(base, b1), np.append(slopes, b2), delta
+
+
+def _near_boxes(cover, rng, n, spread=1.5):
+    """Points scattered about randomly chosen boxes, up to `spread`
+    half-lengths from the centre along each frame axis."""
+    k = rng.integers(len(cover.centers), size=n)
+    u = rng.uniform(-spread, spread, size=(n, cover.dim)) * cover.half_lengths
+    return cover.centers[k] + u @ cover.axes
+
+
+SEEDED = list(_seeded_pairs())
+
+
+class TestVerifierAgainstScan:
+    @pytest.mark.parametrize("pi1,pi2,delta", SEEDED)
+    @pytest.mark.parametrize("factor", [1.0, 0.25])
+    def test_seeded_pairs_match_scan(self, pi1, pi2, delta, factor):
+        cover = slab_intersection_cover(pi1, pi2, delta)
+        if factor != 1.0:
+            cover = cover.scaled(factor)
+        pts = _near_boxes(slab_intersection_cover(pi1, pi2, delta), np.random.default_rng(3), 3000)
+        got = cover_mod._covered(cover, pts)
+        assert got.any() and not got.all()
+        assert np.array_equal(got, _scan_covered(cover, pts))
+
+    @pytest.mark.parametrize("pi1,pi2,delta", SEEDED)
+    @pytest.mark.parametrize("factor", [1.0, 0.25])
+    def test_reports_match_scan(self, pi1, pi2, delta, factor, monkeypatch):
+        cover = slab_intersection_cover(pi1, pi2, delta).scaled(factor)
+        fast = verify_cover(pi1, pi2, delta, cover, n_samples=2000, seed=5)
+        monkeypatch.setattr(cover_mod, "_covered", _scan_covered)
+        assert verify_cover(pi1, pi2, delta, cover, n_samples=2000, seed=5) == fast
+        assert (fast.fraction == 1.0) == (factor == 1.0)
+
+    def test_points_on_faces_and_corners(self, reference_cover):
+        """Every sign pattern in {-1, 0, 1}^d of half-lengths from a centre:
+        the centre, face centres, edge midpoints and corners, placed exactly
+        and just beyond the 1e-12 tolerance."""
+        signs = np.array(list(itertools.product([-1.0, 0.0, 1.0], repeat=3)))
+        for cover in (reference_cover, reference_cover.scaled(0.25)):
+            centers = cover.centers[::97]
+            pts = []
+            for extra in (0.0, 1e-12, 2e-12):
+                offsets = (signs * (cover.half_lengths + extra)) @ cover.axes
+                pts.append((centers[:, None, :] + offsets[None]).reshape(-1, 3))
+            pts = np.vstack(pts)
+            assert np.array_equal(cover_mod._covered(cover, pts), _scan_covered(cover, pts))
+
+    def test_knife_edge_points_axis_aligned(self):
+        """With identity axes the test is exact arithmetic, so points at the
+        half-length plus the tolerance, and one ulp either side, sit on the
+        edge of the predicate itself."""
+        half = np.array([0.25, 2.0**-6, 2.0**-6])
+        cover = BoxCover(np.array([[0.5, 0.0, -0.25], [0.0, 0.125, 0.0]]), np.eye(3), half,
+                         0, w=0.5, delta=2.0**-6, dim=3, count_bound=10)
+        edge = half + 1e-12
+        signs = np.array(list(itertools.product([-1.0, 0.0, 1.0], repeat=3)))
+        pts = []
+        for reach in (half, edge, np.nextafter(edge, 0), np.nextafter(edge, 1)):
+            pts.append((cover.centers[:, None, :] + signs * reach).reshape(-1, 3))
+        pts = np.vstack(pts)
+        got = cover_mod._covered(cover, pts)
+        assert np.array_equal(got, _scan_covered(cover, pts))
+        assert not got.all()
+
+    def test_duplicate_and_overlapping_centers(self):
+        theta = 0.3
+        axes = np.array([[math.cos(theta), math.sin(theta)], [-math.sin(theta), math.cos(theta)]])
+        centers = np.array([
+            [0.1, 0.1], [0.1, 0.1], [0.1, 0.1],   # duplicates
+            [0.12, 0.1], [0.1, 0.13],             # overlap the first
+            [-0.4, 0.2], [-0.4, 0.2], [0.7, -0.5],
+        ])
+        cover = BoxCover(centers, axes, np.array([0.05, 0.02]), 1,
+                         w=0.4, delta=0.02, dim=2, count_bound=100)
+        pts = np.random.default_rng(9).uniform(-1, 1, size=(20000, 2))
+        pts = np.vstack([pts, _near_boxes(cover, np.random.default_rng(2), 2000)])
+        got = cover_mod._covered(cover, pts)
+        assert got.any()
+        assert np.array_equal(got, _scan_covered(cover, pts))
+
+    def test_empty_cover_covers_nothing(self):
+        cover = slab_intersection_cover(PI1, np.array([0.0, 0.0, 0.5]), DELTA)
+        assert not cover_mod._covered(cover, np.zeros((4, 3))).any()
+
+
+class TestBoxesView:
+    @pytest.mark.parametrize("pi1,pi2,delta", SEEDED)
+    def test_matches_tile_by_tile_construction(self, pi1, pi2, delta):
+        cover = slab_intersection_cover(pi1, pi2, delta)
+        ref = _tile_by_tile_centers(pi1, pi2, delta)
+        boxes = cover.boxes
+        assert len(boxes) == len(ref)
+        got = np.array([b.center for b in boxes])
+        # batched products round differently, by a few ulps of unit-size coordinates
+        assert np.allclose(got, ref, rtol=0, atol=8 * np.finfo(float).eps)
+
+    def test_views_share_the_frame(self, reference_cover):
+        for k, box in enumerate(reference_cover.boxes[:10]):
+            assert isinstance(box, Box)
+            assert box.axes is reference_cover.axes
+            assert box.half_lengths is reference_cover.half_lengths
+            assert box.thin_axis == reference_cover.thin_axis
+            assert np.array_equal(box.center, reference_cover.centers[k])
+
+    def test_to_dict_schema(self, reference_cover):
+        d = reference_cover.to_dict()
+        assert set(d) == {"w", "delta", "dim", "count_bound", "boxes"}
+        assert [b["center"] for b in d["boxes"]] == reference_cover.centers.tolist()
+        assert all(b["axes"] == reference_cover.axes.tolist() for b in d["boxes"])

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -111,6 +113,16 @@ class TestFamilyInvariants:
     def test_dim_too_small(self):
         with pytest.raises(ValueError, match="dimension"):
             Family(kind="points", elements=np.zeros((1, 1)), delta=0.5, dim=1)
+
+    def test_numpy_integer_dim_is_stored_as_int(self):
+        fam = Family(kind="points", elements=np.zeros((1, 3)), delta=0.5, dim=np.int64(3))
+        assert fam.dim == 3 and type(fam.dim) is int
+        json.dumps({"dim": fam.dim})
+
+    @pytest.mark.parametrize("dim", [True, 3.0, np.float64(3.0), "3"])
+    def test_non_integer_dim_is_refused(self, dim):
+        with pytest.raises(ValueError, match="dimension"):
+            Family(kind="points", elements=np.zeros((1, 3)), delta=0.5, dim=dim)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape"):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from incgeom import incidence
 from incgeom.constructions import construct_random, construct_sharp_2d
 from incgeom.family import Family
 from incgeom.incidence import (annulus_growth_check, annulus_partition,
@@ -71,6 +72,15 @@ class TestOracle:
         for workers in (2, 5):
             assert count_incidences_oracle(pts, pls, 0.07, workers=workers) == base
 
+    def test_thread_count_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(incidence.os, "cpu_count", lambda: 4)
+        assert incidence._thread_count(10_000, 8481) == 4
+        assert incidence._thread_count(10_000, 3) == 3
+        assert incidence._thread_count(2, 8481) == 2
+        assert incidence._thread_count(0, 8481) == 1
+        monkeypatch.setattr(incidence.os, "cpu_count", lambda: None)
+        assert incidence._thread_count(10_000, 8481) == 1
+
     def test_empty_families(self):
         no_pts = Family(kind="points", elements=np.empty((0, 2)), delta=DELTA, dim=2)
         one_pl = Family(kind="hyperplanes", elements=np.zeros((1, 2)), delta=DELTA, dim=2)
@@ -122,6 +132,16 @@ class TestFastCounter:
             pts, pls, cdelta, mode=mode, workers=workers, leaf_size=leaf_size
         )
         assert fast == oracle
+
+    def test_chunkings_beyond_the_cpu_count_agree(self, monkeypatch):
+        """With the CPU count raised, workers 2..5 really split the planes
+        into 2..5 chunks; every split gives the oracle's report."""
+        monkeypatch.setattr(incidence.os, "cpu_count", lambda: 8)
+        pts = construct_random("points", 2, 0.05, 60, seed=4)
+        pls = construct_random("hyperplanes", 2, 0.05, 50, seed=5)
+        oracle = count_incidences_oracle(pts, pls, 0.07)
+        for workers in (1, 2, 3, 5):
+            assert count_incidences_fast(pts, pls, 0.07, workers=workers, leaf_size=8) == oracle
 
     def test_equals_oracle_3d(self):
         pts = construct_random("points", 3, 0.08, 80, seed=21)
