@@ -180,10 +180,11 @@ def construct_random(kind, d, delta, n, seed):
     if n < 0:
         raise ValueError(f"negative family size {n}")
     rng = np.random.default_rng(seed)
-    accepted = np.empty((0, d))
+    accepted = np.empty((n, d))
     budget = 1000 * max(n, 1)
     attempts = 0
-    while len(accepted) < n:
+    k = 0
+    while k < n:
         if attempts >= budget:
             raise ValueError(
                 f"could not place {n} delta-separated {kind} in {budget} draws "
@@ -194,15 +195,13 @@ def construct_random(kind, d, delta, n, seed):
             cand = rng.uniform(-1.0, 1.0, size=d)
             if cand @ cand > 1.0:
                 continue
-            ok = (
-                accepted.size == 0
-                or np.min(np.sum((accepted - cand) ** 2, axis=1)) >= delta * delta
-            )
+            ok = k == 0 or np.min(np.sum((accepted[:k] - cand) ** 2, axis=1)) >= delta * delta
         else:
             slopes = rng.uniform(-1.0, 1.0, size=d - 1)
             norm = math.sqrt(float(slopes @ slopes) + 1.0)
             cand = np.append(slopes, rng.uniform(-norm, norm))
-            ok = accepted.size == 0 or np.min(affine_metric(cand, accepted)) >= delta
+            ok = k == 0 or np.min(affine_metric(cand, accepted[:k])) >= delta
         if ok:
-            accepted = np.vstack([accepted, cand])
+            accepted[k] = cand
+            k += 1
     return Family(kind, accepted, delta, d, meta={"seed": seed})

@@ -37,6 +37,16 @@ _INFLATE = 1e-9
 _CANDIDATE_MARGIN = 1e-9
 
 
+def _in_box(offsets, axes, reach):
+    """Rows of `offsets` (points minus a centre) with |axes[j] . offset| <=
+    reach[j] for all j, folding left over the d terms as `slab_offsets` does:
+    a row's verdict is the same alone or in a batch, unlike a BLAS product."""
+    y = offsets[:, :1] * axes[:, 0]
+    for k in range(1, axes.shape[1]):
+        y = y + offsets[:, k : k + 1] * axes[:, k]
+    return np.all(np.abs(y) <= reach, axis=-1)
+
+
 @dataclass(frozen=True)
 class Box:
     """Axis frame box: |axes[j] . (x - center)| <= half_lengths[j].
@@ -60,8 +70,7 @@ class Box:
             raise ValueError(f"thin_axis {self.thin_axis} out of range for d={d}")
 
     def contains(self, points, tol=1e-12):
-        y = np.abs((np.atleast_2d(points) - self.center) @ self.axes.T)
-        return np.all(y <= self.half_lengths + tol, axis=-1)
+        return _in_box(np.atleast_2d(points) - self.center, self.axes, self.half_lengths + tol)
 
     def to_dict(self):
         return {
@@ -123,7 +132,7 @@ class BoxCover:
         }
 
 
-def _normalize(pi, delta, label):
+def _normalize(pi, label):
     pi = np.asarray(pi, dtype=np.float64)
     if pi.ndim != 1 or pi.size < 2:
         raise ValueError(f"{label} must be a coefficient vector (a1..ad)")
@@ -133,14 +142,14 @@ def _normalize(pi, delta, label):
     offset = float(pi[-1]) / norm  # plane is normal . x + offset = 0
     if abs(offset) > 1.0 + 1e-9:
         raise ValueError(f"{label} does not meet the unit ball")
-    return pi, normal, offset
+    return normal, offset
 
 
 def _frame(pi1, pi2, delta):
     """Rotate pi1 horizontal; return the data describing where the second
     slab cuts the first."""
-    _, n1, c1 = _normalize(pi1, delta, "first plane")
-    _, n2, c2 = _normalize(pi2, delta, "second plane")
+    n1, c1 = _normalize(pi1, "first plane")
+    n2, c2 = _normalize(pi2, "second plane")
     d = n1.size
     # Householder sending n1 to +e_d; stable since n1's last entry is < 0
     v = n1 - np.eye(d)[d - 1]
@@ -241,8 +250,7 @@ def _covered(cover, pts):
         cKDTree(cover.centers @ to_unit), reach, p=np.inf, output_type="ndarray"
     )
     i, k = pairs["i"], pairs["j"]
-    y = np.abs((pts[i] - cover.centers[k]) @ cover.axes.T)
-    inside = np.all(y <= cover.half_lengths + 1e-12, axis=-1)
+    inside = _in_box(pts[i] - cover.centers[k], cover.axes, cover.half_lengths + 1e-12)
     return np.bincount(i[inside], minlength=len(pts)) > 0
 
 
@@ -255,8 +263,6 @@ def verify_cover(pi1, pi2, delta, cover: BoxCover, n_samples=10_000, seed=0):
     slab predicates and the unit ball, so the accepted sample is uniform
     on the true region and independent of how the cover was built.  An
     empty region is a vacuous pass with the flag set."""
-    pi1 = np.asarray(pi1, dtype=np.float64)
-    pi2 = np.asarray(pi2, dtype=np.float64)
     fr = _frame(pi1, pi2, delta)
     d = fr["dim"]
     m_norm, gamma, radius = fr["m_norm"], fr["gamma"], fr["ball_radius"]

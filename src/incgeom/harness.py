@@ -4,9 +4,9 @@ deterministic JSON report.
 
 Determinism contract: for a fixed config the report is identical run to
 run and across worker counts, except for the segregated `timings` block.
-Summary computations that would not complete exactly at the family's size
-(regularity profiles, pairwise separation) are skipped with a note rather
-than approximated.
+Regularity profiles that would not complete exactly at the family's size
+are skipped with a note rather than approximated; they are the only summary
+that can be skipped.
 """
 
 from __future__ import annotations
@@ -78,12 +78,8 @@ def _family_summary(fam: Family, exponent):
         "dim": fam.dim,
         "delta": fam.delta,
         "size": len(fam),
+        "min_separation": float(min_separation(fam)),
     }
-    try:
-        info["min_separation"] = float(min_separation(fam))
-    except ValueError as e:
-        info["min_separation"] = None
-        info["min_separation_note"] = f"skipped (size): {e}"
     try:
         rep = regularity_constant(fam, exponent)
         info["regularity"] = rep.to_dict()

@@ -12,12 +12,16 @@ between cell positions.  For families whose coordinates lie on the
 delta-lattice (every construction in this package) this equals the
 element-centered count; in general it is a constant-factor proxy, in the
 same spirit as counting occupied grid cells instead of covering balls.
+Hyperplane separation is exact at any size: embedded as (unit normal,
+normalised intercept), planes are no farther apart than in the affine
+metric and at least 1/sqrt(2) as far, so a kd-tree proposes every pair that
+can hold the minimum.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.signal import fftconvolve
@@ -30,8 +34,11 @@ from .geometry import affine_metric, code_coordinates, unit_normal_norms
 # tree limit; past both, exact profiles are refused rather than approximated.
 DENSE_LIMIT = 64_000_000
 TREE_LIMIT = 60_000
-SEPARATION_LIMIT = 60_000
 AFFINE_LIMIT = 4_000
+
+# Relative widening of the separation candidate radius: the kd-tree distances
+# and the d_A expression each round by a few ulps, far below this margin.
+_SEPARATION_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -51,15 +58,7 @@ class RegularityReport:
     variant: str = "standard"
 
     def to_dict(self):
-        return {
-            "s": self.s,
-            "c_star": self.c_star,
-            "worst_scale": self.worst_scale,
-            "worst_center": self.worst_center,
-            "metric": self.metric,
-            "variant": self.variant,
-            "per_scale": [[r, ratio] for r, ratio in self.per_scale],
-        }
+        return {**asdict(self), "per_scale": [[r, ratio] for r, ratio in self.per_scale]}
 
 
 def measurement_coordinates(fam: Family):
@@ -82,7 +81,11 @@ def covering_number(fam: Family, rho) -> int:
 
 def min_separation(fam: Family) -> float:
     """Minimum pairwise distance: Euclidean for points, affine metric for
-    hyperplanes.  Returns +inf for families with fewer than two elements."""
+    hyperplanes.  Returns +inf for families with fewer than two elements.
+    Planes embed as (unit normal, normalised intercept) vectors x, and
+    sqrt(a^2 + b^2) <= a + b <= sqrt(2 (a^2 + b^2)) gives |x - x'| <= d_A <=
+    sqrt(2) |x - x'|: the pairs within sqrt(2) times the least embedded
+    distance hold the minimum, and d_A is evaluated on those alone."""
     n = len(fam)
     if n < 2:
         return math.inf
@@ -90,26 +93,18 @@ def min_separation(fam: Family) -> float:
         tree = cKDTree(fam.elements)
         dist, _ = tree.query(fam.elements, k=2, workers=-1)
         return float(dist[:, 1].min())
-    if n > SEPARATION_LIMIT:
-        raise ValueError(
-            f"exact pairwise separation refused for {n} hyperplanes (limit {SEPARATION_LIMIT})"
-        )
     coeffs = fam.elements
     norms = unit_normal_norms(coeffs)
     normals = np.concatenate([coeffs[:, :-1], np.full((n, 1), -1.0)], axis=1)
     normals = normals / norms[:, None]
     verts = coeffs[:, -1] / norms
-    block = max(1, (1 << 24) // (n * fam.dim))
-    best = math.inf
-    for i0 in range(0, n, block):
-        i1 = min(i0 + block, n)
-        diff = normals[i0:i1, None, :] - normals[None, :, :]
-        total = np.sqrt(np.sum(diff * diff, axis=-1))
-        total += np.abs(verts[i0:i1, None] - verts[None, :])
-        rows = np.arange(i1 - i0)
-        total[rows, i0 + rows] = math.inf
-        best = min(best, float(total.min()))
-    return best
+    tree = cKDTree(np.column_stack([normals, verts]))
+    dist, _ = tree.query(tree.data, k=2, workers=-1)
+    reach = math.sqrt(2.0) * float(dist[:, 1].min()) * (1.0 + _SEPARATION_MARGIN)
+    i, j = tree.query_pairs(reach, output_type="ndarray").T
+    # the reference scan's d_A expression, so the two agree bit for bit
+    diff = normals[i] - normals[j]
+    return float((np.sqrt(np.sum(diff * diff, axis=-1)) + np.abs(verts[i] - verts[j])).min())
 
 
 def _scale_radii(delta):
@@ -139,12 +134,15 @@ def _counts_dense(occ_grid, ratio, dim, metric, occ_offsets):
     kernel = _ball_kernel(ratio, dim, metric)
     conv = fftconvolve(occ_grid, kernel, mode="same")
     vals = conv[tuple(occ_offsets.T)]
-    return np.maximum(np.rint(vals).astype(np.int64), 1)
+    counts = np.rint(vals)
+    if np.any(np.abs(vals - counts) >= 0.25):
+        raise FloatingPointError("FFT ball counts are not within 0.25 of integers")
+    return np.maximum(counts.astype(np.int64), 1)
 
 
-def _counts_tree(tree, cells_f, ratio, metric):
+def _counts_tree(tree, ratio, metric):
     p = np.inf if metric == "chebyshev" else 2.0
-    counts = tree.query_ball_point(cells_f, r=ratio, p=p, return_length=True, workers=-1)
+    counts = tree.query_ball_point(tree.data, r=ratio, p=p, return_length=True, workers=-1)
     return np.asarray(counts, dtype=np.int64)
 
 
@@ -168,7 +166,6 @@ def _scale_profile(fam: Family):
     radii = _scale_radii(delta)
     occ_grid = None
     tree = None
-    cells_f = offsets.astype(np.float64)
     max_counts = np.empty(radii.size, dtype=np.int64)
     argmax_elem = np.empty(radii.size, dtype=np.int64)
     for j, r in enumerate(radii):
@@ -182,8 +179,8 @@ def _scale_profile(fam: Family):
             counts = _counts_dense(occ_grid, ratio, fam.dim, metric, offsets)
         elif cover <= TREE_LIMIT:
             if tree is None:
-                tree = cKDTree(cells_f)
-            counts = _counts_tree(tree, cells_f, ratio, metric)
+                tree = cKDTree(offsets.astype(np.float64))
+            counts = _counts_tree(tree, ratio, metric)
         else:
             raise ValueError(
                 f"family too large for an exact regularity profile at scale r={r!r} "

@@ -1,8 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
 from incgeom.cli import main
+from incgeom.family import Family, write_family
 
 D5 = "2^-5"
 
@@ -40,6 +42,16 @@ class TestConstructAndCheck:
         code, _, err = run(capsys, "check", str(bad))
         assert code == 1
         assert "FAIL" in err
+
+    def test_check_separates_more_than_sixty_thousand_planes(self, tmp_path, capsys):
+        n = 70_001
+        icpts = (np.arange(n) - n // 2) * 2.0**-16
+        fam = Family("hyperplanes", np.column_stack([np.zeros(n), icpts]), 2.0**-16, 2)
+        path = tmp_path / "parallel.txt"
+        write_family(fam, path)
+        code, out, err = run(capsys, "check", str(path))
+        assert code == 0 and err == ""
+        assert f"size={n} min_separation=1.52588e-05" in out
 
     def test_random_points_construct(self, tmp_path, capsys):
         path = str(tmp_path / "rand.txt")

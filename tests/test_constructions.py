@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -147,6 +148,15 @@ class TestRandom:
         b = construct_random("points", 2, 0.05, 30, seed=5)
         assert np.array_equal(a.elements, b.elements)
         assert a.meta == {"seed": 5}
+
+    @pytest.mark.parametrize("kind, delta, want", [
+        ("points", 0.07, "66b9bc6a339e4d2202bc779c183cbdce41ec0b27725a245463546e15ad9614a3"),
+        ("hyperplanes", 0.05, "e256a12f2376bf6b61d3f033b0a151e8e9f4bc89d771a043fc5342e6c7f2d4b4"),
+    ])
+    def test_seed_to_family_mapping_is_pinned(self, kind, delta, want):
+        # digests of the families the original vstack-per-accept loop drew
+        fam = construct_random(kind, 3, delta, 200, seed=4)
+        assert hashlib.sha256(fam.elements.tobytes()).hexdigest() == want
 
     def test_seeds_differ(self):
         a = construct_random("points", 2, 0.05, 30, seed=5)

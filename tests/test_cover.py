@@ -303,6 +303,29 @@ class TestVerifierAgainstScan:
         assert not cover_mod._covered(cover, np.zeros((4, 3))).any()
 
 
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_box_verdict_does_not_depend_on_batch_size(d):
+    """A point whose frame coordinate sits within ulps of `half_length + tol`
+    gets the same verdict alone as in a 3,000-row batch, from `Box.contains`
+    and from `_covered`."""
+    rng = np.random.default_rng(40 + d)
+    axes = np.linalg.qr(rng.normal(size=(d, d)))[0].T
+    half = rng.uniform(0.01, 0.1, size=d)
+    center = rng.uniform(-0.5, 0.5, size=d)
+    n = 3000
+    frame = rng.uniform(-1.0, 1.0, size=(n, d)) * half
+    face = rng.integers(0, d, size=n)
+    frame[np.arange(n), face] = rng.choice([-1.0, 1.0], size=n) * (half[face] + 1e-12)
+    pts = center + frame @ axes
+    box = Box(center, axes, half, 0)
+    cover = BoxCover(center[None, :], axes, half, 0, w=0.5, delta=0.01, dim=d, count_bound=1)
+    batch = box.contains(pts)
+    assert 0 < batch.sum() < n
+    assert np.array_equal(cover_mod._covered(cover, pts), batch)
+    assert np.array_equal([box.contains(p)[0] for p in pts], batch)
+    assert np.array_equal([cover_mod._covered(cover, p[None, :])[0] for p in pts], batch)
+
+
 class TestBoxesView:
     @pytest.mark.parametrize("pi1,pi2,delta", SEEDED)
     def test_matches_tile_by_tile_construction(self, pi1, pi2, delta):

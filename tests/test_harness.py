@@ -121,14 +121,13 @@ class TestFileBackedRun:
 
     def test_oversized_summaries_are_skipped_not_fatal(self, family_paths, monkeypatch):
         pp, tp = family_paths
-        monkeypatch.setattr("incgeom.regularity.SEPARATION_LIMIT", 1)
         monkeypatch.setattr("incgeom.regularity.DENSE_LIMIT", 1)
         monkeypatch.setattr("incgeom.regularity.TREE_LIMIT", 1)
         cfg = ExperimentConfig(dim=3, delta=2.0**-5, points_path=pp, planes_path=tp)
         rep = run_experiment(cfg)
         planes = rep.families["hyperplanes"]
-        assert planes["min_separation"] is None
-        assert planes["min_separation_note"].startswith("skipped (size)")
+        assert isinstance(planes["min_separation"], float)
+        assert "min_separation_note" not in planes
         assert planes["regularity"] is None
         assert "skipped" in planes["regularity_note"]
         assert rep.incidence.count > 0

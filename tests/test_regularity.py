@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from incgeom.constructions import construct_grid, construct_random
+from incgeom import regularity
+from incgeom.constructions import (ConstructionSpec, construct_grid,
+                                   construct_random, construct_sharp)
 from incgeom.family import Family
-from incgeom.geometry import affine_metric
+from incgeom.geometry import affine_metric, unit_normal_norms
 from incgeom.regularity import (best_dimension, covering_number,
                                 katz_tao_constant, min_separation,
                                 regularity_constant)
@@ -76,6 +78,88 @@ class TestMinSeparation:
         assert min_separation(fam) >= DELTA
 
 
+def _pairwise_scan(fam):
+    """The blocked O(n^2) affine-metric scan `min_separation` once ran for
+    hyperplanes; the kd-tree search must return its value bit for bit."""
+    n = len(fam)
+    coeffs = fam.elements
+    norms = unit_normal_norms(coeffs)
+    normals = np.concatenate([coeffs[:, :-1], np.full((n, 1), -1.0)], axis=1)
+    normals = normals / norms[:, None]
+    verts = coeffs[:, -1] / norms
+    block = max(1, (1 << 24) // (n * fam.dim))
+    best = math.inf
+    for i0 in range(0, n, block):
+        i1 = min(i0 + block, n)
+        diff = normals[i0:i1, None, :] - normals[None, :, :]
+        total = np.sqrt(np.sum(diff * diff, axis=-1))
+        total += np.abs(verts[i0:i1, None] - verts[None, :])
+        rows = np.arange(i1 - i0)
+        total[rows, i0 + rows] = math.inf
+        best = min(best, float(total.min()))
+    return best
+
+
+def _planes(coeffs, delta=DELTA):
+    coeffs = np.asarray(coeffs, dtype=np.float64)
+    return Family(kind="hyperplanes", elements=coeffs, delta=delta, dim=coeffs.shape[1])
+
+
+def _lattice_planes(d, seed):
+    # coefficients on the 1/8 lattice: many pairs tie at the minimum
+    rng = np.random.default_rng(seed)
+    return _planes(np.unique(rng.integers(-4, 5, size=(400, d)) / 8.0, axis=0))
+
+
+class TestSeparationMatchesScan:
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("k", [5, 6])
+    def test_sharp_families(self, d, k):
+        spec = ConstructionSpec(d=d, delta=2.0**-k, s=1.75, t=1.75)
+        _, planes = construct_sharp(spec)
+        assert min_separation(planes) == _pairwise_scan(planes)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_seeded_random_families(self, d, seed):
+        fam = construct_random("hyperplanes", d, 0.05, 300, seed=seed)
+        assert min_separation(fam) == _pairwise_scan(fam)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 8])
+    def test_lattice_coefficients_with_ties(self, d):
+        fam = _lattice_planes(d, seed=d)
+        assert min_separation(fam) == _pairwise_scan(fam) > 0.0
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_duplicate_rows(self, d):
+        coeffs = np.random.default_rng(d).uniform(-0.5, 0.5, size=(50, d))
+        fam = _planes(np.vstack([coeffs, coeffs[7], coeffs[7], coeffs[30]]))
+        assert min_separation(fam) == _pairwise_scan(fam) == 0.0
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_two_element_families(self, d):
+        fam = _planes(np.random.default_rng(10 + d).uniform(-0.5, 0.5, size=(2, d)))
+        want = _pairwise_scan(fam)
+        assert min_separation(fam) == want == pytest.approx(
+            float(affine_metric(fam.elements[0], fam.elements[1])), rel=1e-12
+        )
+
+    def test_parallel_lines_and_equal_intercepts(self):
+        icpts = np.linspace(-0.7, 0.7, 300)
+        parallel = _planes(np.column_stack([np.full(300, 0.25), icpts]))
+        fan = _planes(np.column_stack([icpts, np.full(300, 0.1)]))
+        assert min_separation(parallel) == _pairwise_scan(parallel)
+        assert min_separation(fan) == _pairwise_scan(fan)
+
+
+def test_separation_beyond_sixty_thousand_planes():
+    # 70,001 horizontal lines 2^-16 apart: d_A is exactly the intercept gap
+    n = 70_001
+    icpts = (np.arange(n) - n // 2) * 2.0**-16
+    fam = _planes(np.column_stack([np.zeros(n), icpts]), delta=2.0**-16)
+    assert min_separation(fam) == 2.0**-16
+
+
 class TestRegularityConstant:
     def test_singleton_at_s_zero(self):
         fam = Family(kind="points", elements=np.array([[0.1, 0.2]]), delta=DELTA, dim=2)
@@ -138,6 +222,14 @@ class TestProfilePaths:
         baseline = regularity_constant(fam, 1.0)
         monkeypatch.setattr("incgeom.regularity.DENSE_LIMIT", 1)
         assert regularity_constant(fam, 1.0).per_scale == baseline.per_scale
+
+    def test_inexact_fft_counts_raise(self, grid64, monkeypatch):
+        real = regularity.fftconvolve
+        monkeypatch.setattr(
+            "incgeom.regularity.fftconvolve", lambda *a, **k: real(*a, **k) + 0.4
+        )
+        with pytest.raises(FloatingPointError, match="0.25"):
+            regularity_constant(grid64, 1.0)
 
     def test_oversized_family_is_refused(self, grid64, monkeypatch):
         monkeypatch.setattr("incgeom.regularity.DENSE_LIMIT", 1)
