@@ -12,6 +12,13 @@ between cell positions.  For families whose coordinates lie on the
 delta-lattice (every construction in this package) this equals the
 element-centered count; in general it is a constant-factor proxy, in the
 same spirit as counting occupied grid cells instead of covering balls.
+The counts are exact integers.  Code-max balls are boxes, counted from one
+summed-area table of the occupancy (Crow 1984).  Euclidean balls are counted
+by a circular FFT: with n cells and c = min(reach, n - 1) on an axis, no
+two cells lie farther apart than n - 1, so a kernel clipped to |o| <= c
+loses nothing, and with period L >= n + c an offset past c wraps to at
+least L - (n - 1) > c, so no alias lands in a ball.  A count 0.25 or more
+from an integer raises.
 Hyperplane separation is exact at any size: embedded as (unit normal,
 normalised intercept), planes are no farther apart than in the affine
 metric and at least 1/sqrt(2) as far, so a kd-tree proposes every pair that
@@ -20,18 +27,21 @@ can hold the minimum.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.fft import irfftn, next_fast_len, rfftn
+from scipy.signal import fftconvolve  # noqa: F401  (perfbench/tracing.py wraps this name)
 from scipy.spatial import cKDTree
 
 from .family import Family
 from .geometry import affine_metric, code_coordinates, unit_normal_norms
 
-# Per-scale dense convolution budget (padded voxel count) and the fallback
-# tree limit; past both, exact profiles are refused rather than approximated.
+# Cells a dense count may allocate (the code-max summed-area table, or the
+# Euclidean FFT grid of one scale) and the fallback tree limit; past both,
+# exact profiles are refused rather than approximated.
 DENSE_LIMIT = 64_000_000
 TREE_LIMIT = 60_000
 AFFINE_LIMIT = 4_000
@@ -117,23 +127,30 @@ def _scale_radii(delta):
     return np.asarray(radii)
 
 
-def _ball_kernel(ratio, dim, metric):
-    reach = int(math.floor(ratio + 1e-9))
-    axis = np.arange(-reach, reach + 1)
-    if metric == "chebyshev":
-        return np.ones((axis.size,) * dim)
-    dist2 = np.zeros((1,) * dim)
-    for k in range(dim):
-        shape = [1] * dim
-        shape[k] = axis.size
-        dist2 = dist2 + (axis.astype(np.float64) ** 2).reshape(shape)
-    return (dist2 <= ratio * ratio).astype(np.float64)
+def _box_counts(table, offsets, reach):
+    """Code-max ball counts from a zero-led summed-area table (Crow 1984):
+    one difference per axis over [i - reach, i + reach] clipped to the
+    grid, taken by inclusion-exclusion over the window's 2^d corners."""
+    hi = np.minimum(offsets + reach + 1, np.asarray(table.shape) - 1)
+    lo = np.maximum(offsets - reach, 0)
+    counts = np.zeros(len(offsets), dtype=np.int64)
+    for corner in itertools.product((False, True), repeat=offsets.shape[1]):
+        sign = (-1) ** (len(corner) - sum(corner))
+        counts += sign * table[tuple(np.where(corner, hi, lo).T)]
+    return counts
 
 
-def _counts_dense(occ_grid, ratio, dim, metric, occ_offsets):
-    kernel = _ball_kernel(ratio, dim, metric)
-    conv = fftconvolve(occ_grid, kernel, mode="same")
-    vals = conv[tuple(occ_offsets.T)]
+def _ball_counts(offsets, ratio, clip, period):
+    """Euclidean ball counts by a circular FFT convolution whose kernel is
+    clipped to |o_k| <= clip_k and wrapped around the origin; a `period` of
+    at least n_k + clip_k per axis keeps aliases out (module docstring)."""
+    axes = [np.arange(-c, c + 1) for c in clip]
+    dist2 = sum(np.ix_(*[a.astype(np.float64) ** 2 for a in axes]))
+    kernel = np.zeros(period)
+    kernel[np.ix_(*[a % n for a, n in zip(axes, period)])] = dist2 <= ratio * ratio
+    occupancy = np.zeros(period)
+    occupancy[tuple(offsets.T)] = 1.0
+    vals = irfftn(rfftn(occupancy) * rfftn(kernel), period)[tuple(offsets.T)]
     counts = np.rint(vals)
     if np.any(np.abs(vals - counts) >= 0.25):
         raise FloatingPointError("FFT ball counts are not within 0.25 of integers")
@@ -150,7 +167,11 @@ def _scale_profile(fam: Family):
     """Per-scale maxima of occupied-cell counts in balls around occupied
     cells.  Returns (radii, max_counts, argmax element index per scale,
     covering number).  Independent of the exponent s, so one profile serves
-    every regularity variant and the bisection in `best_dimension`."""
+    every regularity variant and the bisection in `best_dimension`.
+
+    Counts come from integer prefix sums (code-max) or an aliasing-free
+    circular FFT (Euclidean); a scale whose summed-area table or FFT grid
+    would exceed DENSE_LIMIT cells is counted by a kd-tree instead."""
     if len(fam) == 0:
         raise ValueError("regularity profile of an empty family")
     delta = fam.delta
@@ -164,27 +185,33 @@ def _scale_profile(fam: Family):
     shape = offsets.max(axis=0) + 1
 
     radii = _scale_radii(delta)
-    occ_grid = None
-    tree = None
+    table = tree = None
+    if metric == "chebyshev" and math.prod(shape + 1) <= DENSE_LIMIT:
+        table = np.zeros(tuple(shape + 1), dtype=np.int64)
+        table[tuple((offsets + 1).T)] = 1
+        for k in range(fam.dim):
+            table = np.cumsum(table, axis=k)
     max_counts = np.empty(radii.size, dtype=np.int64)
     argmax_elem = np.empty(radii.size, dtype=np.int64)
     for j, r in enumerate(radii):
         ratio = r / delta
         reach = int(math.floor(ratio + 1e-9))
-        padded = int(np.prod(shape + 2 * reach))
-        if padded <= DENSE_LIMIT:
-            if occ_grid is None:
-                occ_grid = np.zeros(tuple(shape))
-                occ_grid[tuple(offsets.T)] = 1.0
-            counts = _counts_dense(occ_grid, ratio, fam.dim, metric, offsets)
+        clip = np.minimum(reach, shape - 1)
+        period = [next_fast_len(int(n + c)) for n, c in zip(shape, clip)]
+        if table is not None:
+            counts = _box_counts(table, offsets, reach)
+        elif metric == "euclidean" and math.prod(period) <= DENSE_LIMIT:
+            counts = _ball_counts(offsets, ratio, clip, period)
         elif cover <= TREE_LIMIT:
             if tree is None:
                 tree = cKDTree(offsets.astype(np.float64))
             counts = _counts_tree(tree, ratio, metric)
         else:
+            dense = math.prod(shape + 1) if metric == "chebyshev" else math.prod(period)
             raise ValueError(
                 f"family too large for an exact regularity profile at scale r={r!r} "
-                f"({cover} occupied cells, padded grid {padded})"
+                f"({cover} occupied cells; the dense count would allocate {dense} "
+                f"cells, over DENSE_LIMIT={DENSE_LIMIT})"
             )
         k = int(np.argmax(counts))
         max_counts[j] = counts[k]

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.signal import fftconvolve
 
 from incgeom import regularity
 from incgeom.constructions import (ConstructionSpec, construct_grid,
@@ -224,18 +227,228 @@ class TestProfilePaths:
         assert regularity_constant(fam, 1.0).per_scale == baseline.per_scale
 
     def test_inexact_fft_counts_raise(self, grid64, monkeypatch):
-        real = regularity.fftconvolve
+        real = regularity.irfftn
         monkeypatch.setattr(
-            "incgeom.regularity.fftconvolve", lambda *a, **k: real(*a, **k) + 0.4
+            "incgeom.regularity.irfftn", lambda *a, **k: real(*a, **k) + 0.4
         )
         with pytest.raises(FloatingPointError, match="0.25"):
             regularity_constant(grid64, 1.0)
+
+    def test_code_max_profile_uses_no_fft(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("FFT called on the code-max path")
+
+        fam = construct_random("hyperplanes", 3, 2.0**-4, 200, seed=5)
+        want = regularity_constant(fam, 1.5)
+        for name in ("rfftn", "irfftn", "fftconvolve"):
+            monkeypatch.setattr(f"incgeom.regularity.{name}", refuse)
+        assert regularity_constant(fam, 1.5) == want
+        with pytest.raises(AssertionError, match="FFT called"):
+            regularity_constant(Family(kind="points", elements=fam.elements,
+                                       delta=fam.delta, dim=3), 1.5)
+
+    def test_dense_limit_compares_the_allocated_grid(self, grid64, monkeypatch):
+        # 64 x 64 points: at r = 1 (reach 64, clipped to 63) the FFT period is
+        # next_fast_len(127) = 128 per axis, the largest of any scale; linear
+        # padding by the whole kernel would need (64 + 128)^2 cells
+        tree_scales = []
+        real = regularity._counts_tree
+        monkeypatch.setattr(
+            "incgeom.regularity._counts_tree",
+            lambda tree, ratio, metric: tree_scales.append(ratio) or real(tree, ratio, metric),
+        )
+        want = regularity.next_fast_len(127) ** 2
+        monkeypatch.setattr("incgeom.regularity.DENSE_LIMIT", want)
+        baseline = regularity_constant(grid64, 1.5)
+        assert tree_scales == []
+        monkeypatch.setattr("incgeom.regularity.DENSE_LIMIT", want - 1)
+        assert regularity_constant(grid64, 1.5) == baseline
+        assert tree_scales == [64.0]
+        # the code-max path allocates one (n + 1)-per-axis summed-area table
+        planes = construct_random("hyperplanes", 2, DELTA, 200, seed=1)
+        cells = np.floor(regularity.measurement_coordinates(planes) / DELTA)
+        table = int(np.prod(np.ptp(cells, axis=0) + 2))
+        monkeypatch.setattr("incgeom.regularity.DENSE_LIMIT", table)
+        tree_scales.clear()
+        planes_profile = regularity_constant(planes, 1.0)
+        assert tree_scales == []
+        monkeypatch.setattr("incgeom.regularity.DENSE_LIMIT", table - 1)
+        assert regularity_constant(planes, 1.0) == planes_profile
+        assert len(tree_scales) == 7
 
     def test_oversized_family_is_refused(self, grid64, monkeypatch):
         monkeypatch.setattr("incgeom.regularity.DENSE_LIMIT", 1)
         monkeypatch.setattr("incgeom.regularity.TREE_LIMIT", 1)
         with pytest.raises(ValueError, match="too large"):
             regularity_constant(grid64, 1.0)
+
+
+def _ball_kernel(ratio, dim, metric):
+    reach = int(math.floor(ratio + 1e-9))
+    axis = np.arange(-reach, reach + 1)
+    if metric == "chebyshev":
+        return np.ones((axis.size,) * dim)
+    dist2 = np.zeros((1,) * dim)
+    for k in range(dim):
+        shape = [1] * dim
+        shape[k] = axis.size
+        dist2 = dist2 + (axis.astype(np.float64) ** 2).reshape(shape)
+    return (dist2 <= ratio * ratio).astype(np.float64)
+
+
+def _counts_dense(occ_grid, ratio, dim, metric, occ_offsets):
+    kernel = _ball_kernel(ratio, dim, metric)
+    conv = fftconvolve(occ_grid, kernel, mode="same")
+    vals = conv[tuple(occ_offsets.T)]
+    counts = np.rint(vals)
+    if np.any(np.abs(vals - counts) >= 0.25):
+        raise FloatingPointError("FFT ball counts are not within 0.25 of integers")
+    return np.maximum(counts.astype(np.int64), 1)
+
+
+def _reference_profile(fam):
+    """The per-scale linear `fftconvolve(mode="same")` path `_scale_profile`
+    once ran below DENSE_LIMIT, for both metrics; the summed-area table and
+    the circular FFT must give its profile and per-cell counts bit for bit.
+    Returns (radii, max_counts, argmax, cover) and the counts per scale."""
+    delta = fam.delta
+    metric = "euclidean" if fam.kind == "points" else "chebyshev"
+    coords = regularity.measurement_coordinates(fam)
+    cells = np.floor(coords / delta).astype(np.int64)
+    uniq, first_idx = np.unique(cells, axis=0, return_index=True)
+    offsets = uniq - uniq.min(axis=0)
+    occ_grid = np.zeros(tuple(offsets.max(axis=0) + 1))
+    occ_grid[tuple(offsets.T)] = 1.0
+    radii = regularity._scale_radii(delta)
+    per_scale = [_counts_dense(occ_grid, r / delta, fam.dim, metric, offsets) for r in radii]
+    best = [int(np.argmax(c)) for c in per_scale]
+    max_counts = np.array([c[k] for c, k in zip(per_scale, best)], dtype=np.int64)
+    return (radii, max_counts, first_idx[best], uniq.shape[0]), per_scale
+
+
+def _profile_and_counts(fam):
+    """`_scale_profile(fam)` and the per-cell counts its dense path made at
+    each scale, recorded as the profile runs."""
+    per_scale = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("_box_counts", "_ball_counts"):
+            real = getattr(regularity, name)
+            mp.setattr(regularity, name,
+                       lambda *a, _real=real: per_scale.append(_real(*a)) or per_scale[-1])
+        profile = regularity._scale_profile(fam)
+    return profile, per_scale
+
+
+def _assert_matches_reference(fam):
+    (radii, max_counts, argmax, cover), counts = _profile_and_counts(fam)
+    (want_radii, want_max, want_argmax, want_cover), want_counts = _reference_profile(fam)
+    assert np.array_equal(radii, want_radii)
+    assert max_counts.dtype == argmax.dtype == np.int64
+    assert np.array_equal(max_counts, want_max)
+    assert np.array_equal(argmax, want_argmax)
+    assert cover == want_cover
+    assert len(counts) == len(want_counts) == radii.size
+    for got, want in zip(counts, want_counts):
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+
+
+def _points(coords, delta=DELTA):
+    coords = np.asarray(coords, dtype=np.float64)
+    return Family(kind="points", elements=coords, delta=delta, dim=coords.shape[1])
+
+
+def _both_kinds(coords, delta=DELTA):
+    # one cell set measured in both metrics: as points, and as planes whose
+    # code coordinates (intercept first) are these same coordinates
+    coords = np.asarray(coords, dtype=np.float64)
+    return [_points(coords, delta), _planes(np.roll(coords, -1, axis=1), delta)]
+
+
+def _hollow_cube(d, n, delta=DELTA):
+    # every lattice point on the boundary of [0, n]^d: all cells on faces
+    grid = np.stack(np.meshgrid(*[np.arange(n + 1)] * d, indexing="ij"), -1).reshape(-1, d)
+    face = np.any((grid == 0) | (grid == n), axis=1)
+    return grid[face] * delta
+
+
+class TestProfileMatchesLinearFFT:
+    @pytest.mark.parametrize("d,k", [(2, 5), (2, 6), (3, 5), (3, 6)])
+    def test_sharp_pairs(self, d, k):
+        points, planes = construct_sharp(ConstructionSpec(d=d, delta=2.0**-k, s=1.75, t=1.75))
+        _assert_matches_reference(points)
+        _assert_matches_reference(planes)
+
+    @pytest.mark.parametrize("kind", ["points", "hyperplanes"])
+    @pytest.mark.parametrize("d,delta,n", [(2, 0.02, 400), (3, 0.04, 400), (4, 0.15, 150)])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_seeded_random_families(self, kind, d, delta, n, seed):
+        _assert_matches_reference(construct_random(kind, d, delta, n, seed=seed))
+
+    # the reference pads by the kernel, (n + 2 reach)^d cells: d = 4 cases
+    # stay at delta = 2^-3 so that it needs under a million
+    @pytest.mark.parametrize("d,delta", [(2, DELTA), (3, DELTA), (4, 2.0**-3)])
+    def test_singleton(self, d, delta):
+        for fam in _both_kinds(np.full((1, d), 0.3), delta=delta):
+            _assert_matches_reference(fam)
+
+    def test_flat_axis(self):
+        # a shape-1 axis, as the lifted planes have, on either metric
+        rng = np.random.default_rng(4)
+        cells = rng.integers(0, 40, size=(300, 3))
+        cells[:, 1] = 5
+        for fam in _both_kinds(cells * DELTA):
+            _assert_matches_reference(fam)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_reach_exceeds_shape_on_every_axis(self, d):
+        # a 5-cell-wide cluster at delta = 2^-6: reach climbs to 64
+        cells = np.random.default_rng(d).integers(0, 5, size=(40, d))
+        for fam in _both_kinds(cells * DELTA):
+            _assert_matches_reference(fam)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_non_dyadic_delta(self, d):
+        # delta = 0.03: ratios 1, 2, ..., 2^5 and then 1/0.03 = 33.3
+        for kind in ("points", "hyperplanes"):
+            _assert_matches_reference(construct_random(kind, d, 0.03, 300, seed=d))
+        cells = np.random.default_rng(d).integers(-20, 20, size=(200, d))
+        for fam in _both_kinds(cells * 0.03 + 0.015, delta=0.03):
+            _assert_matches_reference(fam)
+
+    def test_lattice_cells_on_the_grid_faces(self):
+        _assert_matches_reference(construct_grid(2, DELTA, (DELTA, 2 * DELTA)))
+        _assert_matches_reference(construct_grid(3, 2.0**-4, (2.0**-3, 2.0**-4, 2.0**-2)))
+        for d, n, delta in ((2, 40, DELTA), (3, 12, DELTA), (4, 5, 2.0**-3)):
+            for fam in _both_kinds(_hollow_cube(d, n, delta), delta=delta):
+                _assert_matches_reference(fam)
+
+
+_CELL_SETS = st.integers(2, 4).flatmap(
+    lambda d: st.lists(
+        st.tuples(*[st.integers(-6, 6)] * d), min_size=1, max_size=40, unique=True
+    )
+)
+
+
+@given(cells=_CELL_SETS)
+@settings(max_examples=60, deadline=None)
+def test_counts_equal_brute_force_pairs(cells):
+    delta = 2.0**-3
+    cells = np.array(cells, dtype=np.int64)
+    for fam in _both_kinds((cells + 0.5) * delta, delta=delta):
+        uniq = np.unique(np.floor(regularity.measurement_coordinates(fam) / delta), axis=0)
+        diff = uniq[:, None, :] - uniq[None, :, :]
+        (radii, _, _, cover), counts = _profile_and_counts(fam)
+        assert cover == len(uniq) == len(cells)
+        assert len(counts) == radii.size
+        for r, got in zip(radii, counts):
+            ratio = r / delta
+            if fam.kind == "points":
+                within = np.sum(diff * diff, axis=-1) <= ratio * ratio
+            else:
+                within = np.max(np.abs(diff), axis=-1) <= math.floor(ratio + 1e-9)
+            assert np.array_equal(got, within.sum(axis=1))
 
 
 class TestAffineMetricVariant:
