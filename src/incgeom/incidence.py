@@ -2,10 +2,11 @@
 
 Two counters produce the count I = #{(p, pi) : p in the closed
 cdelta-neighborhood of pi}: a brute-force oracle over all pairs and an
-accelerated counter over a kd-tree of the points.  The accelerated path
-classifies whole subtrees against each slab with conservatively inflated
+accelerated counter over scipy's `cKDTree` of the points.  The accelerated
+path classifies whole subtrees against each slab with conservatively inflated
 bounds and falls back to the oracle's exact predicate expression at the
-leaves, so the two agree bit for bit on every input, worker count included.
+leaves, so the two agree bit for bit on every input, worker count and
+leaf size.
 
 Also here: the dyadic annulus decomposition of a hyperplane family around a
 center plane, bucketed by the affine metric.
@@ -13,11 +14,13 @@ center plane, bucketed by the affine metric.
 
 from __future__ import annotations
 
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .family import Family
 from .geometry import affine_metric, incidence_mask, slab_offsets, unit_normal_norms
@@ -79,6 +82,8 @@ def _prepare(points_fam: Family, planes_fam: Family, cdelta):
         )
     if not cdelta > 0:
         raise ValueError(f"cdelta must be positive, got {cdelta}")
+    if not np.isfinite(points_fam.elements).all():
+        raise ValueError("points must have finite coordinates")
 
 
 def _assemble(count, per_plane, per_point, cdelta, mode, delta):
@@ -97,6 +102,15 @@ def _assemble(count, per_plane, per_point, cdelta, mode, delta):
 def _thread_count(workers, n_chunks):
     """Threads for `n_chunks` pieces of work: at most the CPUs, pieces and `workers`."""
     return max(1, min(workers, os.cpu_count() or 1, n_chunks))
+
+
+def _map_threads(fn, chunks, workers):
+    """`[fn(c) for c in chunks]`, on `_thread_count(workers, len(chunks))` threads."""
+    threads = _thread_count(workers, len(chunks))
+    if threads == 1:
+        return [fn(c) for c in chunks]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, chunks))
 
 
 def count_incidences_oracle(points_fam, planes_fam, cdelta, mode="euclidean", workers=1):
@@ -122,62 +136,51 @@ def count_incidences_oracle(points_fam, planes_fam, cdelta, mode="euclidean", wo
             )
             return j0, j1, mask.sum(axis=0, dtype=np.int64), mask.sum(axis=1, dtype=np.int64)
 
-        threads = _thread_count(workers, len(spans))
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(run, spans))
-        else:
-            results = [run(s) for s in spans]
-        for j0, j1, plane_part, point_part in results:
+        for j0, j1, plane_part, point_part in _map_threads(run, spans, workers):
             per_plane[j0:j1] = plane_part
             per_point += point_part
     return _assemble(per_plane.sum(), per_plane, per_point, cdelta, mode, points_fam.delta)
 
 
 class _PointTree:
-    """Static kd-tree over a point array: median splits on the widest box
-    side, nodes stored as flat arrays, points permuted into subtree order."""
+    """Flat arrays of `cKDTree(points, leafsize=leaf_size)` (Bentley 1975).
+
+    Nodes are in pre-order, lesser child first: node 0 is the root, node i
+    holds `points[lo[i]:hi[i]]` of the `perm`-permuted points, `left`/`right`
+    are -1 at leaves, and the leaves tile [0, n) in increasing `lo`.  Box
+    bounds are exact: one `reduceat` over the leaf slices, then each internal
+    node from its two children, deepest level first."""
 
     def __init__(self, points, leaf_size):
-        n, d = points.shape
-        self.perm = np.arange(n)
-        lo_l, hi_l, left_l, right_l = [], [], [], []
-        bmin_l, bmax_l = [], []
+        kd = cKDTree(points, leafsize=leaf_size)
+        self.perm = kd.indices
+        self.points = points[self.perm]
+        rows, right = [], []
+        stack = [(kd.tree, -1)]
+        while stack:
+            node, parent = stack.pop()
+            if parent >= 0:
+                right[parent] = len(rows)
+            rows.append((node.start_idx, node.end_idx, node.level))
+            right.append(-1)
+            if node.split_dim >= 0:
+                stack += [(node.greater, len(rows) - 1), (node.lesser, -1)]
+        self.lo, self.hi, level = np.array(rows, dtype=np.int64).T.copy()
+        self.right = np.asarray(right, dtype=np.int64)
+        inner = self.right >= 0
+        self.left = np.where(inner, np.arange(self.lo.size) + 1, -1)
 
-        def build(lo, hi):
-            idx = len(lo_l)
-            sub = points[self.perm[lo:hi]]
-            bmin, bmax = sub.min(axis=0), sub.max(axis=0)
-            lo_l.append(lo)
-            hi_l.append(hi)
-            bmin_l.append(bmin)
-            bmax_l.append(bmax)
-            left_l.append(-1)
-            right_l.append(-1)
-            if hi - lo > leaf_size:
-                axis = int(np.argmax(bmax - bmin))
-                if bmax[axis] > bmin[axis]:
-                    mid = (lo + hi) // 2
-                    order = np.argpartition(points[self.perm[lo:hi], axis], mid - lo)
-                    self.perm[lo:hi] = self.perm[lo:hi][order]
-                    left_l[idx] = build(lo, mid)
-                    right_l[idx] = build(mid, hi)
-            return idx
-
-        if n:
-            build(0, n)
-        else:
-            lo_l, hi_l, left_l, right_l = [0], [0], [-1], [-1]
-            bmin_l, bmax_l = [np.zeros(d)], [np.zeros(d)]
-        self.lo = np.asarray(lo_l, dtype=np.int64)
-        self.hi = np.asarray(hi_l, dtype=np.int64)
-        self.left = np.asarray(left_l, dtype=np.int64)
-        self.right = np.asarray(right_l, dtype=np.int64)
-        bmin = np.vstack(bmin_l)
-        bmax = np.vstack(bmax_l)
+        bmin, bmax = np.empty((2, self.lo.size, points.shape[1]))
+        starts = self.lo[~inner]
+        bmin[~inner] = np.minimum.reduceat(self.points, starts)
+        bmax[~inner] = np.maximum.reduceat(self.points, starts)
+        for depth in range(level.max() - 1, -1, -1):
+            at = np.flatnonzero(inner & (level == depth))
+            l, r = self.left[at], self.right[at]
+            bmin[at] = np.minimum(bmin[l], bmin[r])
+            bmax[at] = np.maximum(bmax[l], bmax[r])
         self.centers = 0.5 * (bmin + bmax)
         self.halves = 0.5 * (bmax - bmin)
-        self.points = points[self.perm]
 
 
 def _fold_spread(abs_slopes, halves):
@@ -277,6 +280,8 @@ def count_incidences_fast(points_fam, planes_fam, cdelta, mode="euclidean",
     values.  Per-plane decisions never depend on the plane chunking, so any
     worker count yields the same report."""
     _prepare(points_fam, planes_fam, cdelta)
+    if isinstance(leaf_size, bool) or not isinstance(leaf_size, numbers.Integral) or leaf_size < 1:
+        raise ValueError(f"leaf_size must be an integer >= 1, got {leaf_size!r}")
     pts = points_fam.elements
     coeffs = planes_fam.elements
     n, m = len(pts), len(coeffs)
@@ -288,21 +293,15 @@ def count_incidences_fast(points_fam, planes_fam, cdelta, mode="euclidean",
         norms = unit_normal_norms(coeffs)
         abs_slopes = np.abs(coeffs[:, :-1])
         thresholds = cdelta * norms if mode == "euclidean" else np.full(m, float(cdelta))
-        threads = _thread_count(workers, m)
-        chunks = np.array_split(np.arange(m, dtype=np.int64), threads)
+        chunks = np.array_split(np.arange(m, dtype=np.int64), _thread_count(workers, m))
 
         def run(chunk):
             return _count_chunk(
                 tree, coeffs, norms, abs_slopes, thresholds, cdelta, mode, chunk, m
             )
 
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(run, chunks))
-        else:
-            results = [run(c) for c in chunks]
         per_point_perm = np.zeros(n, dtype=np.int64)
-        for c_part, plane_part, point_part in results:
+        for c_part, plane_part, point_part in _map_threads(run, chunks, workers):
             count += c_part
             per_plane += plane_part
             per_point_perm += point_part

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from incgeom import incidence
-from incgeom.constructions import construct_random, construct_sharp_2d
+from incgeom.constructions import construct_grid, construct_random, construct_sharp_2d
 from incgeom.family import Family
 from incgeom.incidence import (annulus_growth_check, annulus_partition,
                                count_incidences_fast, count_incidences_oracle)
@@ -98,6 +99,15 @@ class TestOracle:
         with pytest.raises(ValueError, match="cdelta"):
             count_incidences_oracle(pts, pls, 0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_refused_by_both_counters(self, bad):
+        pts = Family(kind="points", elements=np.array([[0.1, 0.2], [bad, 0.3]]),
+                     delta=DELTA, dim=2)
+        pls = Family(kind="hyperplanes", elements=np.zeros((1, 2)), delta=DELTA, dim=2)
+        for counter in (count_incidences_oracle, count_incidences_fast):
+            with pytest.raises(ValueError, match="finite"):
+                counter(pts, pls, DELTA)
+
     def test_monotone_in_cdelta(self):
         pts = construct_random("points", 2, 0.05, 50, seed=11)
         pls = construct_random("hyperplanes", 2, 0.05, 40, seed=12)
@@ -187,6 +197,131 @@ class TestFastCounter:
         no_pts = Family(kind="points", elements=np.empty((0, 2)), delta=DELTA, dim=2)
         one_pl = Family(kind="hyperplanes", elements=np.zeros((1, 2)), delta=DELTA, dim=2)
         assert count_incidences_fast(no_pts, one_pl, DELTA).count == 0
+
+    @pytest.mark.parametrize("bad", [0, -3, 2.0, 8.5, True, "8", None])
+    def test_leaf_size_must_be_a_positive_integer(self, bad):
+        pts = construct_random("points", 2, 0.05, 10, seed=1)
+        pls = construct_random("hyperplanes", 2, 0.05, 5, seed=2)
+        with pytest.raises(ValueError, match="leaf_size"):
+            count_incidences_fast(pts, pls, 0.1, leaf_size=bad)
+        # the check sits at the boundary: an empty family is refused too
+        no_pts = Family(kind="points", elements=np.empty((0, 2)), delta=0.05, dim=2)
+        with pytest.raises(ValueError, match="leaf_size"):
+            count_incidences_fast(no_pts, pls, 0.1, leaf_size=bad)
+
+    def test_numpy_integer_leaf_size(self):
+        pts = construct_random("points", 2, 0.05, 40, seed=3)
+        pls = construct_random("hyperplanes", 2, 0.05, 20, seed=4)
+        assert count_incidences_fast(
+            pts, pls, 0.1, leaf_size=np.int64(3)
+        ) == count_incidences_oracle(pts, pls, 0.1)
+
+
+def _clouds(d):
+    rng = np.random.default_rng(d)
+    lattice = construct_grid(d, 2.0**-3, [2.0**-2] * (d - 1) + [2.0**-3]).elements
+    return {
+        "random": rng.random((500, d)),
+        "lattice": lattice,
+        "identical": np.tile(rng.random(d), (100, 1)),
+        "single": rng.random((1, d)),
+    }
+
+
+class TestPointTree:
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("leaf_size", [1, 2, 8, 64])
+    def test_invariants(self, d, leaf_size):
+        for name, points in _clouds(d).items():
+            tree = incidence._PointTree(points, leaf_size)
+            n = len(points)
+            assert np.array_equal(np.sort(tree.perm), np.arange(n)), name
+            assert np.array_equal(tree.points, points[tree.perm]), name
+            assert (tree.lo[0], tree.hi[0]) == (0, n), name
+            inner = np.flatnonzero(tree.left >= 0)
+            assert np.array_equal(inner, np.flatnonzero(tree.right >= 0)), name
+            for i in inner:
+                l, r = tree.left[i], tree.right[i]
+                assert i < l < r, name
+                assert tree.lo[l] == tree.lo[i] < tree.hi[l] == tree.lo[r] < tree.hi[r] == tree.hi[i]
+            leaves = np.flatnonzero(tree.left < 0)
+            assert np.array_equal(tree.hi[leaves[:-1]], tree.lo[leaves[1:]]), name
+            assert tree.hi[leaves[-1]] == n, name
+            for i in range(tree.lo.size):
+                sub = tree.points[tree.lo[i]:tree.hi[i]]
+                bmin, bmax = sub.min(axis=0), sub.max(axis=0)
+                assert np.array_equal(tree.centers[i], 0.5 * (bmin + bmax)), name
+                assert np.array_equal(tree.halves[i], 0.5 * (bmax - bmin)), name
+                if tree.left[i] < 0:
+                    assert sub.shape[0] <= leaf_size or not tree.halves[i].any(), name
+            if name == "identical":
+                assert tree.lo.size == 1
+            if name == "single":
+                assert tree.lo.size == 1 and not tree.halves.any()
+
+
+def _exact_slopes(d):
+    """Slope vectors over {0, +-1/2, +-3/4, +-1} whose unit-normal norm
+    sqrt(1 + |a|^2) is a dyadic rational, so Euclidean slab edges are exact too."""
+    vals = (0.0, 0.5, -0.5, 0.75, -0.75, 1.0, -1.0)
+    return [a for a in itertools.product(vals, repeat=d - 1)
+            if (4.0 * math.sqrt(1.0 + sum(x * x for x in a))).is_integer()]
+
+
+def _lattice_pair(d, k, exps, seed, m):
+    """Dyadic lattice points at scale 2^-k and m planes with dyadic slopes
+    and intercepts on the 2^-k grid: every slab edge cdelta = c 2^-k passes
+    exactly through lattice points."""
+    delta = 2.0**-k
+    pts = construct_grid(d, delta, [2.0**-e for e in exps])
+    rng = np.random.default_rng(seed)
+    slopes = _exact_slopes(d)
+    rows = [slopes[i] + (delta * j,) for i, j in zip(
+        rng.integers(len(slopes), size=m), rng.integers(-(2**k), 2 ** (k + 1) + 1, size=m))]
+    pls = Family(kind="hyperplanes", elements=np.array(rows), delta=delta, dim=d)
+    return pts, pls, delta
+
+
+class TestLatticeFamilies:
+    """Points sit exactly on slab edges, as in the paper's sharp families."""
+
+    @given(
+        d=st.sampled_from([2, 3, 4]),
+        data=st.data(),
+        seed=st.integers(0, 2**16),
+        mode=st.sampled_from(["euclidean", "psi"]),
+        leaf_size=st.sampled_from([1, 2, 8, 64]),
+        workers=st.sampled_from([1, 3]),
+        c=st.sampled_from([1, 2, 16]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_fast_equals_oracle_bit_for_bit(self, d, data, seed, mode, leaf_size, workers, c):
+        k = data.draw(st.integers(2, {2: 5, 3: 4, 4: 3}[d]), label="k")
+        exps = data.draw(st.lists(st.integers(1, k), min_size=d, max_size=d), label="exps")
+        pts, pls, delta = _lattice_pair(d, k, exps, seed, m=24)
+        oracle = count_incidences_oracle(pts, pls, c * delta, mode=mode)
+        fast = count_incidences_fast(
+            pts, pls, c * delta, mode=mode, workers=workers, leaf_size=leaf_size
+        )
+        assert fast == oracle
+
+    def test_large_cdelta_accepts_subtrees_wholesale(self, monkeypatch):
+        """At cdelta = 16 delta with single-point leaves most incidences come
+        from accepted subtrees, not the leaf predicate, and the report is
+        still the oracle's."""
+        pts, pls, delta = _lattice_pair(3, 4, [4, 3, 4], seed=5, m=40)
+        oracle = count_incidences_oracle(pts, pls, 16 * delta)
+        hits = []
+        real_mask = incidence.incidence_mask
+
+        def counting_mask(*args, **kwargs):
+            mask = real_mask(*args, **kwargs)
+            hits.append(int(mask.sum()))
+            return mask
+
+        monkeypatch.setattr(incidence, "incidence_mask", counting_mask)
+        assert count_incidences_fast(pts, pls, 16 * delta, leaf_size=1) == oracle
+        assert sum(hits) < oracle.count // 2
 
 
 class TestAnnuli:
