@@ -121,16 +121,14 @@ def lift_to_dim(points2, lines2, d, delta):
     k = _power_of_two_exponent(delta, "delta")
     layers = _dyadic_range(k - 1)  # the 2-delta net
     base = points2.elements
-    grids = np.meshgrid(
-        np.arange(len(base)), *([layers] * (d - 2)), indexing="ij"
-    )
-    total = grids[0].size
-    pts = np.empty((total, d))
-    sel = grids[0].ravel()
-    pts[:, 0] = base[sel, 0]
-    pts[:, d - 1] = base[sel, 1]
+    # one (planar point, layer, ..., layer, coordinate) array in C order,
+    # each column written by broadcasting, then flattened to points
+    pts = np.empty((len(base),) + (layers.size,) * (d - 2) + (d,))
+    pts[..., 0] = base[(slice(None), 0) + (None,) * (d - 2)]
+    pts[..., d - 1] = base[(slice(None), 1) + (None,) * (d - 2)]
     for i in range(d - 2):
-        pts[:, 1 + i] = grids[1 + i].ravel()
+        pts[..., 1 + i] = layers.reshape((-1,) + (1,) * (d - 3 - i))
+    pts = pts.reshape(-1, d)
     coeffs2 = lines2.elements
     planes = np.zeros((len(coeffs2), d))
     planes[:, 0] = coeffs2[:, 0]

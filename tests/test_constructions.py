@@ -117,6 +117,19 @@ class TestLift:
         assert np.array_equal(Pw.elements, P3.elements)
         assert np.array_equal(Lw.elements, L3.elements)
 
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_points_equal_meshgrid_reference(self, d):
+        """Row for row, the lifted points are the meshgrid product of the
+        planar points with the 2-delta net along each new coordinate."""
+        delta = 2.0**-4
+        P, L = construct_sharp_2d(1.75, 1.75, delta)
+        layers = np.arange(9) * 2 * delta
+        grids = np.meshgrid(np.arange(len(P)), *([layers] * (d - 2)), indexing="ij")
+        sel = grids[0].ravel()
+        want = np.column_stack([P.elements[sel, 0]] + [g.ravel() for g in grids[1:]]
+                               + [P.elements[sel, 1]])
+        assert np.array_equal(lift_to_dim(P, L, d, delta)[0].elements, want)
+
     def test_rejects_flat_target(self, sharp_pair):
         P, L = sharp_pair
         with pytest.raises(ValueError, match="at least 3"):

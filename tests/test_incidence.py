@@ -299,6 +299,7 @@ class TestLatticeFamilies:
         k = data.draw(st.integers(2, {2: 5, 3: 4, 4: 3}[d]), label="k")
         exps = data.draw(st.lists(st.integers(1, k), min_size=d, max_size=d), label="exps")
         pts, pls, delta = _lattice_pair(d, k, exps, seed, m=24)
+        assert len(pls) < incidence.SWEEP_MIN_CLASS  # every plane walks the kd-tree
         oracle = count_incidences_oracle(pts, pls, c * delta, mode=mode)
         fast = count_incidences_fast(
             pts, pls, c * delta, mode=mode, workers=workers, leaf_size=leaf_size
@@ -310,6 +311,7 @@ class TestLatticeFamilies:
         from accepted subtrees, not the leaf predicate, and the report is
         still the oracle's."""
         pts, pls, delta = _lattice_pair(3, 4, [4, 3, 4], seed=5, m=40)
+        assert len(pls) < incidence.SWEEP_MIN_CLASS  # every plane walks the kd-tree
         oracle = count_incidences_oracle(pts, pls, 16 * delta)
         hits = []
         real_mask = incidence.incidence_mask
@@ -322,6 +324,135 @@ class TestLatticeFamilies:
         monkeypatch.setattr(incidence, "incidence_mask", counting_mask)
         assert count_incidences_fast(pts, pls, 16 * delta, leaf_size=1) == oracle
         assert sum(hits) < oracle.count // 2
+
+
+def _product_planes(d, delta, slopes, sizes, rng, step_exp=0, signed_zeros=False):
+    """Product family: slope vector slopes[i] times sizes[i] intercepts drawn,
+    with repeats, from the 2^-step_exp delta net in [-1, 2].  With
+    `signed_zeros`, about half the zero slopes are stored as -0.0."""
+    step = delta * 2.0**-step_exp
+    top = round(1 / step)
+    rows = [tuple(a) + (step * j,)
+            for a, size in zip(slopes, sizes) for j in rng.integers(-top, 2 * top + 1, size=size)]
+    coeffs = np.array(rows).reshape(-1, d)
+    if signed_zeros:
+        flip = (coeffs[:, :-1] == 0) & (rng.random((len(coeffs), d - 1)) < 0.5)
+        coeffs[:, :-1][flip] = -0.0
+    return Family(kind="hyperplanes", elements=coeffs, delta=delta, dim=d)
+
+
+def _spy_paths(monkeypatch):
+    """Record (path, number of planes) for each call of either count path."""
+    calls = []
+    for name in ("_sweep_counts", "_kd_counts"):
+        def wrapper(pts, coeffs, cdelta, mode, ids, *rest, _name=name, _real=getattr(incidence, name)):
+            calls.append((_name, ids.size))
+            return _real(pts, coeffs, cdelta, mode, ids, *rest)
+
+        monkeypatch.setattr(incidence, name, wrapper)
+    return calls
+
+
+class TestParallelClassSweep:
+    """Classes of at least SWEEP_MIN_CLASS parallel planes are swept; the
+    report is still the oracle's, bit for bit."""
+
+    @given(
+        d=st.sampled_from([2, 3, 4]),
+        data=st.data(),
+        seed=st.integers(0, 2**16),
+        mode=st.sampled_from(["euclidean", "psi"]),
+        workers=st.sampled_from([1, 2, 3]),
+        c=st.sampled_from([1, 2, 16]),
+        shape=st.sampled_from(["any", "zero column", "horizontal"]),
+        negative=st.booleans(),
+        signed_zeros=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_product_families_equal_oracle(self, d, data, seed, mode, workers, c,
+                                           shape, negative, signed_zeros):
+        k = data.draw(st.integers(2, {2: 5, 3: 4, 4: 3}[d]), label="k")
+        exps = data.draw(st.lists(st.integers(1, k), min_size=d, max_size=d), label="exps")
+        delta = 2.0**-k
+        pts = construct_grid(d, delta, [2.0**-e for e in exps])
+        if negative:
+            pts = Family(kind="points", elements=pts.elements - 0.5, delta=delta, dim=d)
+        slopes = _exact_slopes(d)
+        if shape == "zero column":
+            z = data.draw(st.integers(0, d - 2), label="zero column")
+            slopes = [a for a in slopes if a[z] == 0]
+        elif shape == "horizontal":
+            slopes = [(0.0,) * (d - 1)]
+        rng = np.random.default_rng(seed)
+        picked = [slopes[i] for i in rng.choice(len(slopes), size=min(3, len(slopes)), replace=False)]
+        K = incidence.SWEEP_MIN_CLASS
+        sizes = data.draw(st.lists(st.sampled_from([1, 3, K - 1, K, K + 5]),
+                                   min_size=len(picked), max_size=len(picked)), label="sizes")
+        pls = _product_planes(d, delta, picked, sizes, rng,
+                              step_exp=data.draw(st.integers(0, 1), label="step"),
+                              signed_zeros=signed_zeros)
+        oracle = count_incidences_oracle(pts, pls, c * delta, mode=mode)
+        assert count_incidences_fast(pts, pls, c * delta, mode=mode, workers=workers) == oracle
+
+    def test_mixed_dispatch(self, monkeypatch):
+        """Two large classes and many singletons: both paths run in one call,
+        and every worker count gives the oracle's report."""
+        monkeypatch.setattr(incidence.os, "cpu_count", lambda: 8)
+        delta = 2.0**-4
+        pts = construct_grid(3, delta, [2.0**-4, 2.0**-3, 2.0**-4])
+        rng = np.random.default_rng(3)
+        K = incidence.SWEEP_MIN_CLASS
+        big = _product_planes(3, delta, [(0.75, 0.0), (0.0, -0.75)], [K + 10, K], rng)
+        singles = construct_random("hyperplanes", 3, delta, 40, seed=9)
+        pls = Family(kind="hyperplanes", delta=delta, dim=3,
+                     elements=np.concatenate([big.elements, singles.elements]))
+        calls = _spy_paths(monkeypatch)
+        for mode in ("euclidean", "psi"):
+            oracle = count_incidences_oracle(pts, pls, 2 * delta, mode=mode)
+            for workers in (1, 2, 3, 5):
+                calls.clear()
+                fast = count_incidences_fast(pts, pls, 2 * delta, mode=mode, workers=workers)
+                assert fast == oracle
+                assert sorted(calls) == [("_kd_counts", 40), ("_sweep_counts", 2 * K + 10)]
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_all_horizontal_family(self, monkeypatch, d):
+        """Every slope is 0 or -0.0: the planes form one swept class, the
+        sweep keeps one slope column, and the report is the oracle's."""
+        delta = 2.0**-3
+        grid = construct_grid(d, delta, [delta] * d)
+        pts = Family(kind="points", elements=grid.elements - 0.5, delta=delta, dim=d)
+        pls = _product_planes(d, delta, [(0.0,) * (d - 1)], [incidence.SWEEP_MIN_CLASS],
+                              np.random.default_rng(d), signed_zeros=True)
+        assert (np.signbit(pls.elements[:, :-1]) & (pls.elements[:, :-1] == 0)).any()
+        calls = _spy_paths(monkeypatch)
+        for mode, c in itertools.product(("euclidean", "psi"), (1, 2, 16)):
+            oracle = count_incidences_oracle(pts, pls, c * delta, mode=mode)
+            assert count_incidences_fast(pts, pls, c * delta, mode=mode) == oracle
+        assert set(calls) == {("_sweep_counts", incidence.SWEEP_MIN_CLASS)}
+
+    @pytest.mark.parametrize("c", [1, 2, 3, 4])
+    def test_sharp_pair_equals_exact_integer_predicate(self, sharp_pair, c):
+        """Scaled by S = 2^8 the sharp pair is integral, psi = Psi / S^2 with
+        Psi = A X - S (Y - E), and incidence is Psi^2 2^12 <= c^2 S^2 (S^2 + A^2)
+        (euclidean) or Psi^2 2^12 <= c^2 S^4 (psi), with no rounding at all."""
+        P, L = sharp_pair
+        S = 2**8
+        X, Y = (P.elements * S).T
+        A, E = (L.elements * S).T
+        for v in (X, Y, A, E):
+            assert np.array_equal(v, np.round(v))
+        X, Y, A, E = (v.astype(np.int64) for v in (X, Y, A, E))
+        lhs = (A[None, :] * X[:, None] - S * (Y[:, None] - E[None, :])) ** 2 * 2**12
+        assert DELTA == 2.0**-6
+        for mode, rhs in (("euclidean", c * c * S * S * (S * S + A * A)),
+                          ("psi", np.full(A.size, c * c * S**4))):
+            hits = lhs <= rhs[None, :]
+            fast = count_incidences_fast(P, L, c * DELTA, mode=mode)
+            assert fast.count == int(hits.sum())
+            for axis, got in ((0, fast.per_plane), (1, fast.per_point)):
+                vals, mult = np.unique(hits.sum(axis=axis), return_counts=True)
+                assert got == tuple(zip(vals.tolist(), mult.tolist()))
 
 
 class TestAnnuli:
