@@ -19,9 +19,10 @@ two paths:
   add exact zeros to the fold, so they are dropped first: points that
   differ only there (the lifted sharp pair's layers) are swept once, with
   their multiplicity.
-- Every other plane walks scipy's `cKDTree` of the points.  Whole subtrees
-  are accepted or rejected with conservatively inflated bounds, and the
-  leaves fall back to the oracle's predicate expression.
+- Every other plane meets every leaf box of scipy's `cKDTree` of the
+  points (Bentley 1975) in one broadcast pass, with no descent.  A box is
+  accepted or rejected whole with conservatively inflated bounds, and the
+  undecided leaves fall back to the oracle's predicate expression.
 
 Both paths agree with the oracle bit for bit on every input, worker count
 and leaf size.
@@ -43,9 +44,9 @@ from scipy.spatial import cKDTree
 from .family import Family
 from .geometry import affine_metric, incidence_mask, slab_offsets, unit_normal_norms
 
-DEFAULT_LEAF_SIZE = 64
+DEFAULT_LEAF_SIZE = 128
 
-# Relative safety margin for subtree classification and sweep windows.
+# Relative safety margin for leaf classification and sweep windows.
 # Rounding errors in the offset arithmetic are at the 1e-16 relative level;
 # anything within 1e-9 of the threshold is sent to the exact predicate
 # instead of being classified, so classification can never disagree with
@@ -86,7 +87,13 @@ def _histogram(values):
     return tuple((int(v), int(m)) for v, m in zip(vals, mult))
 
 
-def _prepare(points_fam: Family, planes_fam: Family, cdelta):
+def _require_count(name, value):
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
+def _prepare(points_fam: Family, planes_fam: Family, cdelta, workers):
+    _require_count("workers", workers)
     if points_fam.kind != "points":
         raise ValueError(f"first family must be points, got {points_fam.kind!r}")
     if planes_fam.kind != "hyperplanes":
@@ -103,6 +110,8 @@ def _prepare(points_fam: Family, planes_fam: Family, cdelta):
         raise ValueError(f"cdelta must be positive, got {cdelta}")
     if not np.isfinite(points_fam.elements).all():
         raise ValueError("points must have finite coordinates")
+    if not np.isfinite(planes_fam.elements).all():
+        raise ValueError("planes must have finite coefficients")
 
 
 def _assemble(count, per_plane, per_point, cdelta, mode, delta):
@@ -136,7 +145,7 @@ def count_incidences_oracle(points_fam, planes_fam, cdelta, mode="euclidean", wo
     """Ground-truth count: the shared predicate over every (point, plane)
     pair, evaluated in plane blocks.  Parallelism only splits the blocks;
     all reductions are integer sums, so the report is worker-independent."""
-    _prepare(points_fam, planes_fam, cdelta)
+    _prepare(points_fam, planes_fam, cdelta, workers)
     pts = points_fam.elements
     coeffs = planes_fam.elements
     n, m = len(pts), len(coeffs)
@@ -162,42 +171,27 @@ def count_incidences_oracle(points_fam, planes_fam, cdelta, mode="euclidean", wo
 
 
 class _PointTree:
-    """Flat arrays of `cKDTree(points, leafsize=leaf_size)` (Bentley 1975).
+    """The leaves of `cKDTree(points, leafsize=leaf_size)` (Bentley 1975).
 
-    Nodes are in pre-order, lesser child first: node 0 is the root, node i
-    holds `points[lo[i]:hi[i]]` of the `perm`-permuted points, `left`/`right`
-    are -1 at leaves, and the leaves tile [0, n) in increasing `lo`.  Box
-    bounds are exact: one `reduceat` over the leaf slices, then each internal
-    node from its two children, deepest level first."""
+    Leaf i holds `points[lo[i]:hi[i]]` of the `perm`-permuted points, and
+    the leaves tile [0, n) in increasing `lo`.  Each leaf box is exact: one
+    `reduceat` over the leaf slices."""
 
     def __init__(self, points, leaf_size):
         kd = cKDTree(points, leafsize=leaf_size)
         self.perm = kd.indices
         self.points = points[self.perm]
-        rows, right = [], []
-        stack = [(kd.tree, -1)]
-        while stack:
-            node, parent = stack.pop()
-            if parent >= 0:
-                right[parent] = len(rows)
-            rows.append((node.start_idx, node.end_idx, node.level))
-            right.append(-1)
-            if node.split_dim >= 0:
-                stack += [(node.greater, len(rows) - 1), (node.lesser, -1)]
-        self.lo, self.hi, level = np.array(rows, dtype=np.int64).T.copy()
-        self.right = np.asarray(right, dtype=np.int64)
-        inner = self.right >= 0
-        self.left = np.where(inner, np.arange(self.lo.size) + 1, -1)
-
-        bmin, bmax = np.empty((2, self.lo.size, points.shape[1]))
-        starts = self.lo[~inner]
-        bmin[~inner] = np.minimum.reduceat(self.points, starts)
-        bmax[~inner] = np.maximum.reduceat(self.points, starts)
-        for depth in range(level.max() - 1, -1, -1):
-            at = np.flatnonzero(inner & (level == depth))
-            l, r = self.left[at], self.right[at]
-            bmin[at] = np.minimum(bmin[l], bmin[r])
-            bmax[at] = np.maximum(bmax[l], bmax[r])
+        starts, stack = [], [kd.tree]
+        while stack:  # pre-order, lesser child first
+            node = stack.pop()
+            if node.split_dim < 0:
+                starts.append(node.start_idx)
+            else:
+                stack += [node.greater, node.lesser]
+        self.lo = np.array(starts, dtype=np.int64)
+        self.hi = np.append(self.lo[1:], len(points))
+        bmin = np.minimum.reduceat(self.points, self.lo)
+        bmax = np.maximum.reduceat(self.points, self.lo)
         self.centers = 0.5 * (bmin + bmax)
         self.halves = 0.5 * (bmax - bmin)
 
@@ -210,8 +204,9 @@ def _fold_spread(abs_slopes, halves):
     return acc + halves[..., d - 1]
 
 
-# Descent batches are capped so transient classification arrays stay at
-# tens of megabytes regardless of family size.
+# A block of the leaf pass or of a sweep's window loop holds at most this
+# many pairs (or one leaf or plane), so transient arrays stay at tens of
+# megabytes regardless of family size.
 _BATCH_CAP = 1 << 21
 
 
@@ -222,64 +217,43 @@ def _plane_thresholds(coeffs, cdelta, mode):
     return norms, thresholds
 
 
-def _count_chunk(tree, coeffs, norms, abs_slopes, thresholds, cdelta, mode, plane_ids, m):
-    n = tree.points.shape[0]
+def _count_chunk(tree, coeffs, norms, thresholds, cdelta, mode, plane_ids, m):
+    """Counts of the planes `plane_ids` in O(leaves x planes): blocks of
+    leaves meet every one of these planes, so each leaf reaches the
+    predicate once."""
     per_plane = np.zeros(m, dtype=np.int64)
-    per_point = np.zeros(n, dtype=np.int64)
-    accept_diff = np.zeros(n + 1, dtype=np.int64)
-
-    stack = [(np.zeros(plane_ids.size, dtype=np.int64), plane_ids)]
-    while stack:
-        nodes, planes = stack.pop()
-        psic = slab_offsets(tree.centers[nodes], coeffs[planes])
-        spread = _fold_spread(abs_slopes[planes], tree.halves[nodes])
-        thr = thresholds[planes]
-        apsic = np.abs(psic)
+    per_point = np.zeros(tree.points.shape[0], dtype=np.int64)
+    sizes = tree.hi - tree.lo
+    accepting = np.empty(sizes.size, dtype=np.int64)  # planes that accept each leaf
+    planes = coeffs[None, plane_ids]
+    slopes = np.abs(coeffs[None, plane_ids, :-1])
+    thr = thresholds[plane_ids]
+    step = max(1, _BATCH_CAP // plane_ids.size)
+    for l0 in range(0, sizes.size, step):
+        block = slice(l0, l0 + step)
+        apsic = np.abs(slab_offsets(tree.centers[block, None], planes))
+        spread = _fold_spread(slopes, tree.halves[block, None])
         margin = _CLASSIFY_MARGIN * (apsic + spread + thr)
         accept = apsic + spread + margin <= thr
         reject = apsic - spread - margin > thr
-        if accept.any():
-            an = nodes[accept]
-            np.add.at(per_plane, planes[accept], tree.hi[an] - tree.lo[an])
-            np.add.at(accept_diff, tree.lo[an], 1)
-            np.add.at(accept_diff, tree.hi[an], -1)
-        keep = ~(accept | reject)
-        nodes = nodes[keep]
-        planes = planes[keep]
-
-        at_leaf = tree.left[nodes] < 0
-        if at_leaf.any():
-            _leaf_eval(
-                tree, nodes[at_leaf], planes[at_leaf], coeffs, norms,
-                cdelta, mode, per_plane, per_point,
-            )
-            nodes = nodes[~at_leaf]
-            planes = planes[~at_leaf]
-        if nodes.size:
-            child_nodes = np.concatenate([tree.left[nodes], tree.right[nodes]])
-            child_planes = np.concatenate([planes, planes])
-            if child_nodes.size > _BATCH_CAP:
-                half = child_nodes.size // 2
-                stack.append((child_nodes[:half], child_planes[:half]))
-                stack.append((child_nodes[half:], child_planes[half:]))
-            else:
-                stack.append((child_nodes, child_planes))
-    per_point += np.cumsum(accept_diff[:-1])
+        per_plane[plane_ids] += sizes[block] @ accept
+        accepting[block] = accept.sum(axis=1)
+        leaves, cols = np.nonzero(~(accept | reject))
+        if leaves.size:
+            _leaf_eval(tree, leaves + l0, plane_ids[cols], coeffs, norms, cdelta, mode,
+                       per_plane, per_point)
+    per_point += np.repeat(accepting, sizes)
     return per_plane, per_point
 
 
-def _leaf_eval(tree, leaf_nodes, leaf_planes, coeffs, norms, cdelta, mode, per_plane, per_point):
-    """Exact predicate evaluation for (leaf, plane) pairs, grouped by leaf.
+def _leaf_eval(tree, leaves, planes, coeffs, norms, cdelta, mode, per_plane, per_point):
+    """Exact predicate evaluation for (leaf, plane) pairs sorted by leaf.
     Within one leaf the plane list is duplicate-free, so plain fancy-index
     accumulation is safe."""
-    order = np.argsort(leaf_nodes, kind="stable")
-    ln = leaf_nodes[order]
-    lp = leaf_planes[order]
-    bounds = np.flatnonzero(np.diff(ln)) + 1
-    for i0, i1 in zip(np.r_[0, bounds], np.r_[bounds, ln.size]):
-        node = ln[i0]
-        b0, b1 = tree.lo[node], tree.hi[node]
-        pl = lp[i0:i1]
+    bounds = np.flatnonzero(np.diff(leaves)) + 1
+    for i0, i1 in zip(np.r_[0, bounds], np.r_[bounds, leaves.size]):
+        b0, b1 = tree.lo[leaves[i0]], tree.hi[leaves[i0]]
+        pl = planes[i0:i1]
         mask = incidence_mask(
             tree.points[b0:b1, None, :], coeffs[None, pl, :], cdelta, mode,
             norms=norms[None, pl],
@@ -289,18 +263,15 @@ def _leaf_eval(tree, leaf_nodes, leaf_planes, coeffs, norms, cdelta, mode, per_p
 
 
 def _kd_counts(pts, coeffs, cdelta, mode, plane_ids, workers, leaf_size):
-    """Per-plane and per-point counts of the planes `plane_ids` by a walk
-    of the points' kd-tree, the planes split into one chunk per thread."""
+    """Per-plane and per-point counts of the planes `plane_ids` by the leaf
+    pass over the points' kd-tree, the planes split into one chunk per thread."""
     n, m = len(pts), len(coeffs)
     tree = _PointTree(pts, leaf_size)
     norms, thresholds = _plane_thresholds(coeffs, cdelta, mode)
-    abs_slopes = np.abs(coeffs[:, :-1])
     chunks = np.array_split(plane_ids, _thread_count(workers, plane_ids.size))
 
     def run(chunk):
-        return _count_chunk(
-            tree, coeffs, norms, abs_slopes, thresholds, cdelta, mode, chunk, m
-        )
+        return _count_chunk(tree, coeffs, norms, thresholds, cdelta, mode, chunk, m)
 
     per_plane = np.zeros(m, dtype=np.int64)
     per_point_perm = np.zeros(n, dtype=np.int64)
@@ -312,13 +283,13 @@ def _kd_counts(pts, coeffs, cdelta, mode, plane_ids, workers, leaf_size):
     return per_plane, per_point
 
 
-# Parallel classes of at least this many planes are swept, smaller ones walk
-# the kd-tree.  A sweep costs one sort of the distinct points per class, a
-# tree walk a few leaves per plane.  On random points (no coordinate to
-# drop), 5,000-20,000 of them, 1,536 planes, 2-core x86: the sweep is ahead
-# from about 16 planes per class in d = 3 and 4, but in d = 2, where the
-# walk is cheapest, only from 64; 64 is the smallest size at which the sweep
-# never lost.
+# Parallel classes of at least this many planes are swept, the rest go
+# through the leaf pass.  On random points (nothing to drop), 5,000-20,000
+# of them, 1,536 planes, best of 7, 2-core x86, the sweep draws level with
+# the leaf pass at 64 planes per class in d = 3, leads only from 128-256 in
+# d = 2 and trails up to 256 in d = 4 at cdelta = 0.125.  64 stays because
+# lattice classes are larger and collapse under the coordinate drop: the
+# d = 3 sharp pair at 2^-6 takes 0.008 s swept, 0.11 s on the leaf pass.
 SWEEP_MIN_CLASS = 64
 
 
@@ -406,14 +377,13 @@ def count_incidences_fast(points_fam, planes_fam, cdelta, mode="euclidean",
 
     Parallel classes of at least `SWEEP_MIN_CLASS` planes are counted by a
     sorted sweep over the points' offsets, every other plane by the kd-tree
-    walk (see the module docstring for why both are exact).  Both paths
+    leaf pass (see the module docstring for why both are exact).  Both paths
     decide each candidate pair with the oracle's own predicate expression
     on the same operand values, per-plane results never depend on the
     chunking, and per-point counts are integer sums, so any worker count or
     leaf size yields the same report."""
-    _prepare(points_fam, planes_fam, cdelta)
-    if isinstance(leaf_size, bool) or not isinstance(leaf_size, numbers.Integral) or leaf_size < 1:
-        raise ValueError(f"leaf_size must be an integer >= 1, got {leaf_size!r}")
+    _prepare(points_fam, planes_fam, cdelta, workers)
+    _require_count("leaf_size", leaf_size)
     pts = points_fam.elements
     coeffs = planes_fam.elements
     n, m = len(pts), len(coeffs)

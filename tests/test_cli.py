@@ -108,6 +108,15 @@ class TestCount:
         assert code == 1
         assert "error:" in err
 
+    @pytest.mark.parametrize("counter", ["fast", "oracle"])
+    def test_zero_workers_is_an_error(self, sharp_files, capsys, counter):
+        pts, pls = sharp_files
+        code, out, err = run(capsys, "count", "--delta", D5, "--points", pts,
+                             "--planes", pls, "--counter", counter, "--workers", "0")
+        assert code == 1
+        assert out == ""
+        assert "error:" in err and "workers" in err
+
 
 class TestBounds:
     def test_emits_all_entries(self, capsys):

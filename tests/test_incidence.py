@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from incgeom import incidence
 from incgeom.constructions import construct_grid, construct_random, construct_sharp_2d
 from incgeom.family import Family
+from incgeom.geometry import incidence_mask, slab_offsets, unit_normal_norms
 from incgeom.incidence import (annulus_growth_check, annulus_partition,
                                count_incidences_fast, count_incidences_oracle)
 
@@ -108,6 +109,37 @@ class TestOracle:
             with pytest.raises(ValueError, match="finite"):
                 counter(pts, pls, DELTA)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("column", [0, 2])
+    @pytest.mark.parametrize("size", [10, incidence.SWEEP_MIN_CLASS])
+    def test_non_finite_planes_refused_by_both_counters(self, bad, column, size):
+        """An infinite slope gives the fast counter an infinite threshold
+        cdelta |u| that accepts every leaf, while the oracle's inf/inf is
+        NaN; both counters refuse such planes, on the kd path and swept."""
+        rng = np.random.default_rng(size)
+        pts = Family(kind="points", elements=rng.random((200, 3)), delta=DELTA, dim=3)
+        slopes = rng.uniform(-1, 1, (size, 2))
+        if size >= incidence.SWEEP_MIN_CLASS:
+            slopes[:] = slopes[0]  # one swept parallel class
+        coeffs = np.column_stack([slopes, rng.random(size)])
+        coeffs[size // 2, column] = bad
+        pls = Family(kind="hyperplanes", elements=coeffs, delta=DELTA, dim=3)
+        for counter in (count_incidences_oracle, count_incidences_fast):
+            with pytest.raises(ValueError, match="finite"):
+                counter(pts, pls, 0.1)
+
+    @pytest.mark.parametrize("bad", [0, -3, 1.5, True, "2", None])
+    def test_workers_must_be_a_positive_integer(self, bad):
+        pts = construct_random("points", 2, 0.05, 10, seed=1)
+        pls = construct_random("hyperplanes", 2, 0.05, 5, seed=2)
+        no_pts = Family(kind="points", elements=np.empty((0, 2)), delta=0.05, dim=2)
+        for counter, fam in itertools.product(
+                (count_incidences_oracle, count_incidences_fast), (pts, no_pts)):
+            with pytest.raises(ValueError, match="workers"):
+                counter(fam, pls, 0.1, workers=bad)
+        assert count_incidences_fast(pts, pls, 0.1, workers=np.int64(2)) == \
+            count_incidences_oracle(pts, pls, 0.1, workers=np.int64(2))
+
     def test_monotone_in_cdelta(self):
         pts = construct_random("points", 2, 0.05, 50, seed=11)
         pls = construct_random("hyperplanes", 2, 0.05, 40, seed=12)
@@ -180,6 +212,17 @@ class TestFastCounter:
         for c in (DELTA, 2 * DELTA, 3.5 * DELTA):
             assert count_incidences_fast(pts, pls, c) == count_incidences_oracle(pts, pls, c)
 
+    def test_rounding_edge_pairs(self):
+        """Offsets one to three ulps beyond cdelta |u|, where the rounded
+        predicate |psi| / |u| <= cdelta disagrees with |psi| <= cdelta |u|:
+        only the classification margin sends these pairs to the predicate."""
+        rng = np.random.default_rng(7)
+        pts, pls, _ = _rounding_edge_pair(rng.uniform(-1, 1, (200, 2)), rng, 0.07)
+        assert len(pts) >= 20
+        oracle = count_incidences_oracle(pts, pls, 0.07)
+        for leaf_size in (1, 2, 8, 64):
+            assert count_incidences_fast(pts, pls, 0.07, leaf_size=leaf_size) == oracle
+
     def test_degenerate_point_cloud(self):
         # all points identical: zero-extent boxes must not split forever
         pts = Family(
@@ -237,27 +280,39 @@ class TestPointTree:
             n = len(points)
             assert np.array_equal(np.sort(tree.perm), np.arange(n)), name
             assert np.array_equal(tree.points, points[tree.perm]), name
-            assert (tree.lo[0], tree.hi[0]) == (0, n), name
-            inner = np.flatnonzero(tree.left >= 0)
-            assert np.array_equal(inner, np.flatnonzero(tree.right >= 0)), name
-            for i in inner:
-                l, r = tree.left[i], tree.right[i]
-                assert i < l < r, name
-                assert tree.lo[l] == tree.lo[i] < tree.hi[l] == tree.lo[r] < tree.hi[r] == tree.hi[i]
-            leaves = np.flatnonzero(tree.left < 0)
-            assert np.array_equal(tree.hi[leaves[:-1]], tree.lo[leaves[1:]]), name
-            assert tree.hi[leaves[-1]] == n, name
+            assert tree.lo[0] == 0 and tree.hi[-1] == n, name
+            assert (tree.lo < tree.hi).all(), name
+            assert np.array_equal(tree.hi[:-1], tree.lo[1:]), name
             for i in range(tree.lo.size):
                 sub = tree.points[tree.lo[i]:tree.hi[i]]
                 bmin, bmax = sub.min(axis=0), sub.max(axis=0)
                 assert np.array_equal(tree.centers[i], 0.5 * (bmin + bmax)), name
                 assert np.array_equal(tree.halves[i], 0.5 * (bmax - bmin)), name
-                if tree.left[i] < 0:
-                    assert sub.shape[0] <= leaf_size or not tree.halves[i].any(), name
+                assert sub.shape[0] <= leaf_size or not tree.halves[i].any(), name
             if name == "identical":
                 assert tree.lo.size == 1
             if name == "single":
                 assert tree.lo.size == 1 and not tree.halves.any()
+
+
+def _rounding_edge_pair(slopes, rng, cdelta):
+    """Planes with the given slope rows and random intercepts, plus points
+    at x' = 0 whose offset to one of them is +-(cdelta |u| + k ulp),
+    k = 1..3, kept where the Euclidean predicate holds although
+    |psi| > cdelta |u|.  Also returns the plane each point was made for."""
+    d = slopes.shape[1] + 1
+    coeffs = np.column_stack([slopes, rng.random(len(slopes))])
+    thr = cdelta * unit_normal_norms(coeffs)
+    rows, owners = [], []
+    for k, sign in itertools.product((1, 2, 3), (1, -1)):
+        p = np.zeros((len(coeffs), d))
+        p[:, -1] = coeffs[:, -1] - sign * (thr + k * np.spacing(thr))
+        keep = incidence_mask(p, coeffs, cdelta) & (np.abs(slab_offsets(p, coeffs)) > thr)
+        rows.append(p[keep])
+        owners.append(np.flatnonzero(keep))
+    pts = Family(kind="points", elements=np.concatenate(rows), delta=DELTA, dim=d)
+    pls = Family(kind="hyperplanes", elements=coeffs, delta=DELTA, dim=d)
+    return pts, pls, np.concatenate(owners)
 
 
 def _exact_slopes(d):
@@ -414,6 +469,52 @@ class TestParallelClassSweep:
                 fast = count_incidences_fast(pts, pls, 2 * delta, mode=mode, workers=workers)
                 assert fast == oracle
                 assert sorted(calls) == [("_kd_counts", 40), ("_sweep_counts", 2 * K + 10)]
+
+    @pytest.mark.parametrize("cap", [1, 100])
+    def test_small_batches(self, monkeypatch, cap):
+        """With `_BATCH_CAP` cut to a few pairs, the leaf pass and the
+        sweep's window loop each run in many blocks."""
+        monkeypatch.setattr(incidence.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(incidence, "_BATCH_CAP", cap)
+        delta = 2.0**-4
+        pts = construct_grid(3, delta, [2.0**-4, 2.0**-3, 2.0**-4])
+        K = incidence.SWEEP_MIN_CLASS
+        big = _product_planes(3, delta, [(0.75, 0.0), (0.0, -0.75)], [K + 10, K],
+                              np.random.default_rng(3))
+        singles = construct_random("hyperplanes", 3, delta, 40, seed=9)
+        pls = Family(kind="hyperplanes", delta=delta, dim=3,
+                     elements=np.concatenate([big.elements, singles.elements]))
+        oracles = {mode: count_incidences_oracle(pts, pls, 2 * delta, mode=mode)
+                   for mode in ("euclidean", "psi")}
+        # leaf-pass blocks fold (leaves, 1, d) centres, sweep windows are
+        # evaluated on (pairs, d) points, leaves on (points, 1, d)
+        ndims = []
+        for name in ("slab_offsets", "incidence_mask"):
+            def spy(*args, _real=getattr(incidence, name), _name=name, **kwargs):
+                ndims.append((_name, args[0].ndim))
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(incidence, name, spy)
+        for mode, workers in itertools.product(("euclidean", "psi"), (1, 3)):
+            ndims.clear()
+            fast = count_incidences_fast(pts, pls, 2 * delta, mode=mode, workers=workers)
+            assert fast == oracles[mode]
+            assert ndims.count(("slab_offsets", 3)) >= 10  # 28 leaves, at most 7 a block
+            assert ndims.count(("incidence_mask", 2)) > 2
+
+    def test_rounding_edge_pairs(self, monkeypatch):
+        """The sweep's window margin on the edge pairs of
+        `TestFastCounter.test_rounding_edge_pairs`, all planes one class."""
+        rng = np.random.default_rng(8)
+        # only some |u| leave room for an offset above cdelta |u| that the
+        # predicate accepts: take the slope of a plane that got edge points
+        _, pls, owners = _rounding_edge_pair(rng.uniform(-1, 1, (200, 2)), rng, 0.07)
+        slopes = np.tile(pls.elements[owners[0], :-1], (200, 1))
+        pts, pls, _ = _rounding_edge_pair(slopes, rng, 0.07)
+        assert len(pts) >= 20
+        calls = _spy_paths(monkeypatch)
+        assert count_incidences_fast(pts, pls, 0.07) == count_incidences_oracle(pts, pls, 0.07)
+        assert calls == [("_sweep_counts", 200)]
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_all_horizontal_family(self, monkeypatch, d):
