@@ -8,7 +8,7 @@ parameters defaulting to zero, never folded into the exponents silently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 _EPS_NOTE = "epsilon-loss factor delta^-O(eps) not included"
@@ -32,14 +32,7 @@ class BoundValue:
         )
 
     def to_dict(self):
-        return {
-            "name": self.name,
-            "delta_exponent": self.delta_exponent,
-            "point_count_exponent": self.point_count_exponent,
-            "plane_count_exponent": self.plane_count_exponent,
-            "value": self.value,
-            "regime": self.regime,
-        }
+        return asdict(self)
 
 
 def thm2d_exponent(s, t) -> BoundValue:
@@ -153,15 +146,7 @@ class ComparisonRange:
     regime: str = ""
 
     def to_dict(self):
-        return {
-            "M": self.M,
-            "M_prime": self.M_prime,
-            "lower_exponent": self.lower_exponent,
-            "upper_exponent": self.upper_exponent,
-            "nonempty": self.nonempty,
-            "nonempty_numeric": self.nonempty_numeric,
-            "regime": self.regime,
-        }
+        return asdict(self)
 
 
 def comparison_range(s, t, d) -> ComparisonRange:

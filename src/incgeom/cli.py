@@ -4,8 +4,10 @@ Subcommands: `construct` writes families to text files, `check` validates
 them, `count` runs one counting experiment and emits a JSON report,
 `bounds` evaluates the closed-form estimates, `cover` builds and verifies
 a slab-intersection box cover, and `sweep` repeats a count over several
-scales.  Deltas accept either plain floats or the form 2^-6.  Exit status
-is 0 only when every requested check passed.
+scales.  Each subcommand takes only the flags its handler reads, composed
+from small parent parsers; any other flag is a usage error.  Deltas accept
+either plain floats or the form 2^-6.  Exit status is 0 only when every
+requested check passed.
 """
 
 from __future__ import annotations
@@ -50,28 +52,10 @@ def _emit(payload, out):
         print(text)
 
 
-def _common_flags():
-    p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--dim", type=int, default=2, help="ambient dimension d")
-    p.add_argument("--delta", type=_delta_arg, default=2.0**-6,
-                   help="scale delta (accepts 2^-k)")
-    p.add_argument("--s", type=float, default=1.75, help="point-side exponent")
-    p.add_argument("--t", type=float, default=1.75, help="plane-side exponent")
-    p.add_argument("--cdelta", type=float, default=1.0,
-                   help="incidence constant C; slabs have half-width C*delta")
-    p.add_argument("--mode", choices=MODES, default="euclidean",
-                   help="slab predicate: euclidean distance or raw offset")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--out", default=None, help="output path (default stdout)")
-    return p
-
-
-def _config_from(args, counter="fast", points_path=None, planes_path=None):
+def _config_from(args, **fields):
     return ExperimentConfig(
-        dim=args.dim, delta=args.delta, s=args.s, t=args.t, C=args.cdelta,
-        mode=args.mode, seed=args.seed, workers=args.workers,
-        counter=counter, points_path=points_path, planes_path=planes_path,
+        dim=args.dim, s=args.s, t=args.t, C=args.cdelta, mode=args.mode,
+        workers=args.workers, counter=args.counter, **fields,
     )
 
 
@@ -114,7 +98,7 @@ def _cmd_check(args):
 
 
 def _cmd_count(args):
-    config = _config_from(args, counter=args.counter,
+    config = _config_from(args, delta=args.delta,
                           points_path=args.points, planes_path=args.planes)
     report = run_experiment(config)
     _emit(report.to_dict(), args.out)
@@ -147,7 +131,7 @@ def _cmd_cover(args):
 
 
 def _cmd_sweep(args):
-    config = _config_from(args, counter=args.counter)
+    config = _config_from(args)
     result = sweep(config, _delta_list(args.deltas))
     _emit(result.to_dict(), args.out)
     if args.out:
@@ -171,14 +155,31 @@ def _cmd_sweep(args):
 
 
 def build_parser():
-    common = _common_flags()
+    shape = argparse.ArgumentParser(add_help=False)
+    shape.add_argument("--dim", type=int, default=2, help="ambient dimension d")
+    shape.add_argument("--s", type=float, default=1.75, help="point-side exponent")
+    shape.add_argument("--t", type=float, default=1.75, help="plane-side exponent")
+    scale = argparse.ArgumentParser(add_help=False)
+    scale.add_argument("--delta", type=_delta_arg, default=2.0**-6,
+                       help="scale delta (accepts 2^-k)")
+    counting = argparse.ArgumentParser(add_help=False)
+    counting.add_argument("--cdelta", type=float, default=1.0,
+                          help="incidence constant C; slabs have half-width C*delta")
+    counting.add_argument("--mode", choices=MODES, default="euclidean",
+                          help="slab predicate: euclidean distance or raw offset")
+    counting.add_argument("--workers", type=int, default=1)
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None, help="output path (default stdout)")
+
     parser = argparse.ArgumentParser(
         prog="incgeom",
         description="discretized point-hyperplane incidence experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("construct", parents=[common],
+    p = sub.add_parser("construct", parents=[shape, scale, seed, out],
                        help="build a family (pair) and write text files")
     p.add_argument("--kind", default="sharp",
                    choices=["sharp", "grid", "random-points", "random-planes"])
@@ -192,20 +193,20 @@ def build_parser():
     p.add_argument("paths", nargs="+")
     p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("count", parents=[common],
+    p = sub.add_parser("count", parents=[shape, scale, counting, out],
                        help="count incidences and emit a JSON report")
     p.add_argument("--points", default=None, help="points file (else construct)")
     p.add_argument("--planes", default=None, help="hyperplanes file")
     p.add_argument("--counter", choices=["fast", "oracle"], default="fast")
     p.set_defaults(func=_cmd_count)
 
-    p = sub.add_parser("bounds", parents=[common],
+    p = sub.add_parser("bounds", parents=[shape, scale, out],
                        help="evaluate the closed-form bounds")
     p.add_argument("--n-points", type=int, default=0)
     p.add_argument("--n-planes", type=int, default=0)
     p.set_defaults(func=_cmd_bounds)
 
-    p = sub.add_parser("cover", parents=[common],
+    p = sub.add_parser("cover", parents=[scale, seed, out],
                        help="box-cover a slab intersection and verify")
     p.add_argument("--plane1", required=True, help="comma-separated coefficients a1..ad")
     p.add_argument("--plane2", required=True)
@@ -214,7 +215,8 @@ def build_parser():
                    help="negative control: verify a cover scaled by this factor")
     p.set_defaults(func=_cmd_cover)
 
-    p = sub.add_parser("sweep", parents=[common],
+    # no abbreviations here, or a stray --delta would be read as --deltas
+    p = sub.add_parser("sweep", parents=[shape, counting, out], allow_abbrev=False,
                        help="repeat a count across several deltas")
     p.add_argument("--deltas", required=True, help="comma list, e.g. 2^-5,2^-6")
     p.add_argument("--counter", choices=["fast", "oracle"], default="fast")

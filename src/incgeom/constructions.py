@@ -13,7 +13,7 @@ integer with a power of two, hence exact in binary floating point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,8 +37,6 @@ class ConstructionSpec:
     delta: float
     s: float
     t: float
-    C: float = 1.0
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.d < 2:
@@ -49,8 +47,6 @@ class ConstructionSpec:
         for name, v in (("s", self.s), ("t", self.t)):
             if not 1.0 <= v <= 2.0:
                 raise ValueError(f"{name} must lie in [1, 2], got {v}")
-        if not self.C > 0:
-            raise ValueError(f"C must be positive, got {self.C}")
 
 
 def _snap_exponent(k, x):

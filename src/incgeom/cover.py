@@ -30,10 +30,14 @@ COUNT_CONSTANT = 64
 # 1e-15-level error of the rotation but stays far below delta.
 _INFLATE = 1e-9
 
+# Absolute slack on every half-length in the membership test of
+# `Box.contains`, which `_covered` repeats.
+_CONTAINS_TOL = 1e-12
+
 # The candidate search works in frame coordinates divided by the half-lengths,
 # where each box is the unit max-norm ball about its centre.  Rounding errors
 # there are ~1e-16 of the coordinate size; widening the search by this relative
-# margin dwarfs them and the 1e-12 tolerance, so no accepted box is missed.
+# margin dwarfs them and `_CONTAINS_TOL`, so no accepted box is missed.
 _CANDIDATE_MARGIN = 1e-9
 
 
@@ -69,8 +73,9 @@ class Box:
         if not 0 <= self.thin_axis < d:
             raise ValueError(f"thin_axis {self.thin_axis} out of range for d={d}")
 
-    def contains(self, points, tol=1e-12):
-        return _in_box(np.atleast_2d(points) - self.center, self.axes, self.half_lengths + tol)
+    def contains(self, points):
+        return _in_box(np.atleast_2d(points) - self.center, self.axes,
+                       self.half_lengths + _CONTAINS_TOL)
 
     def to_dict(self):
         return {
@@ -133,6 +138,7 @@ class BoxCover:
 
 
 def _normalize(pi, label):
+    """Unit normal and offset of a validated plane (it meets the unit ball)."""
     pi = np.asarray(pi, dtype=np.float64)
     if pi.ndim != 1 or pi.size < 2:
         raise ValueError(f"{label} must be a coefficient vector (a1..ad)")
@@ -140,8 +146,6 @@ def _normalize(pi, label):
     norm = float(unit_normal_norms(pi[None, :])[0])
     normal = np.append(pi[:-1], -1.0) / norm
     offset = float(pi[-1]) / norm  # plane is normal . x + offset = 0
-    if abs(offset) > 1.0 + 1e-9:
-        raise ValueError(f"{label} does not meet the unit ball")
     return normal, offset
 
 
@@ -161,15 +165,28 @@ def _frame(pi1, pi2, delta):
     # xi_d = -c1 + O(delta) into slab2 leaves the strip |m.xi' + gamma| <= 2 delta
     gamma = c2 - nu_d * c1
     w = float(np.linalg.norm(n1 - n2) + abs(c1 - c2))
+    m_norm = float(np.linalg.norm(m))
+    radius = 1.0 + 2.0 * delta
+    # the strip's extent [lo, hi] along e_beta = m/|m| (the whole ball if m = 0)
+    # and an orthonormal in-plane basis whose first column is +-e_beta
+    if m_norm > 0.0:
+        lo = max((-gamma - 2.0 * delta) / m_norm, -radius)
+        hi = min((-gamma + 2.0 * delta) / m_norm, radius)
+        e_beta = m / m_norm
+    else:
+        lo, hi, e_beta = -radius, radius, np.eye(d - 1)[0]
     return {
         "rotation": house,
         "vertical_center": -c1,
         "m": m,
-        "m_norm": float(np.linalg.norm(m)),
+        "m_norm": m_norm,
         "gamma": gamma,
         "w": w,
         "dim": d,
-        "ball_radius": 1.0 + 2.0 * delta,
+        "ball_radius": radius,
+        "lo": lo,
+        "hi": hi,
+        "basis": np.linalg.qr(np.column_stack([e_beta, np.eye(d - 1)]))[0],
     }
 
 
@@ -201,16 +218,15 @@ def slab_intersection_cover(pi1, pi2, delta) -> BoxCover:
             f"full-width sheet (|m| = {m_norm:.3e} < delta/4, w = {w:.3e}); "
             "no thin-box cover meets the count bound in this regime"
         )
-    lo = max((-gamma - 2.0 * delta) / m_norm, -radius)
-    hi = min((-gamma + 2.0 * delta) / m_norm, radius)
+    lo, hi = fr["lo"], fr["hi"]
     if lo > hi:
         return empty
 
     house = fr["rotation"]
-    e_beta = fr["m"] / m_norm
-    # complete e_beta to an orthonormal basis of the in-plane coordinates
-    q = np.linalg.qr(np.column_stack([e_beta, np.eye(d - 1)]))[0]
-    if q[:, 0] @ e_beta < 0:
+    q = fr["basis"]
+    # only the tiling orients the thin axis along +e_beta; the verifier's
+    # sampler keeps QR's sign
+    if q[:, 0] @ fr["m"] < 0:
         q = -q
     h_thin = delta / w
     n_thin = max(int(math.ceil((hi - lo) / (2.0 * h_thin))), 1)
@@ -242,7 +258,7 @@ class CoverageReport:
 
 def _covered(cover, pts):
     """Mask of the rows of `pts` inside some box of `cover`: the expression of
-    `Box.contains`, at its default tolerance, on the pairs a kd-tree proposes."""
+    `Box.contains` on the pairs a kd-tree proposes."""
     to_unit = cover.axes.T / cover.half_lengths
     size = 1.0 + max(np.abs(cover.centers).max(initial=0.0), np.abs(pts).max(initial=0.0))
     reach = 1.0 + _CANDIDATE_MARGIN * size / cover.half_lengths.min()
@@ -250,7 +266,7 @@ def _covered(cover, pts):
         cKDTree(cover.centers @ to_unit), reach, p=np.inf, output_type="ndarray"
     )
     i, k = pairs["i"], pairs["j"]
-    inside = _in_box(pts[i] - cover.centers[k], cover.axes, cover.half_lengths + 1e-12)
+    inside = _in_box(pts[i] - cover.centers[k], cover.axes, cover.half_lengths + _CONTAINS_TOL)
     return np.bincount(i[inside], minlength=len(pts)) > 0
 
 
@@ -264,20 +280,10 @@ def verify_cover(pi1, pi2, delta, cover: BoxCover, n_samples=10_000, seed=0):
     on the true region and independent of how the cover was built.  An
     empty region is a vacuous pass with the flag set."""
     fr = _frame(pi1, pi2, delta)
-    d = fr["dim"]
-    m_norm, gamma, radius = fr["m_norm"], fr["gamma"], fr["ball_radius"]
-    if m_norm == 0.0 and abs(gamma) > 2.0 * delta:
+    d, radius, lo, hi = fr["dim"], fr["ball_radius"], fr["lo"], fr["hi"]
+    if lo > hi or (fr["m_norm"] == 0.0 and abs(fr["gamma"]) > 2.0 * delta):
         return CoverageReport(1.0, n_samples, 0, 0, (), True, "empty intersection")
-    if m_norm > 0.0:
-        lo = max((-gamma - 2.0 * delta) / m_norm, -radius)
-        hi = min((-gamma + 2.0 * delta) / m_norm, radius)
-        if lo > hi:
-            return CoverageReport(1.0, n_samples, 0, 0, (), True, "empty intersection")
-    else:
-        lo, hi = -radius, radius
-    e_beta = (fr["m"] / m_norm) if m_norm > 0 else np.eye(d - 1)[0]
-    q = np.linalg.qr(np.column_stack([e_beta, np.eye(d - 1)]))[0]
-    house = fr["rotation"]
+    q, house = fr["basis"], fr["rotation"]
 
     rng = np.random.default_rng(seed)
     budget = 2000 * n_samples

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import SLOPE_BOUND, check_plane_coeffs
+from .geometry import check_plane_coeffs
 
 KINDS = ("points", "hyperplanes")
 
@@ -65,11 +65,12 @@ class Family:
     def __len__(self):
         return self.elements.shape[0]
 
-    def validate(self, slope_bound=SLOPE_BOUND, tol=1e-9):
+    def validate(self):
         """Check the member invariants, raising ValueError on the first failure.
 
         Points: finite coordinates, norm <= sqrt(dim) + 10*delta.  Planes:
         slope cap and intersection with B(0,1).  Both: pairwise distinct rows.
+        Bounds are checked within 1e-9.
         """
         arr = self.elements
         if not np.all(np.isfinite(arr)):
@@ -78,14 +79,14 @@ class Family:
         if self.kind == "points":
             bound = math.sqrt(self.dim) + POINT_NORM_SLACK * self.delta
             norms = np.sqrt(np.sum(arr * arr, axis=1))
-            far = np.nonzero(norms > bound + tol)[0]
+            far = np.nonzero(norms > bound + 1e-9)[0]
             if far.size:
                 i = int(far[0])
                 raise ValueError(
                     f"point {i}: norm {norms[i]:.6g} exceeds the family bound {bound:.6g}"
                 )
         else:
-            check_plane_coeffs(arr, slope_bound=slope_bound, tol=tol)
+            check_plane_coeffs(arr)
         if len(self) > 1:
             distinct = np.unique(arr, axis=0).shape[0]
             if distinct != len(self):

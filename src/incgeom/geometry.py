@@ -179,9 +179,9 @@ def phong_stein_determinant(x, a):
     return float(np.linalg.det(phong_stein_matrix(x, a)))
 
 
-def check_plane_coeffs(coeffs, slope_bound=SLOPE_BOUND, tol=1e-9):
+def check_plane_coeffs(coeffs):
     """Validate hyperplane invariants: finite entries, slope cap, and
-    intersection with the closed unit ball (|a_d|/|u| <= 1).
+    intersection with the closed unit ball (|a_d|/|u| <= 1), each within 1e-9.
 
     Raises ValueError naming the first offending plane (by row index).
     """
@@ -190,14 +190,14 @@ def check_plane_coeffs(coeffs, slope_bound=SLOPE_BOUND, tol=1e-9):
         i = int(np.nonzero(~np.isfinite(c).all(axis=1))[0][0])
         raise ValueError(f"plane {i}: non-finite coefficient")
     slopes = np.abs(c[:, :-1])
-    bad = np.argwhere(slopes > slope_bound + tol)
+    bad = np.argwhere(slopes > SLOPE_BOUND + 1e-9)
     if bad.size:
         i, j = (int(v) for v in bad[0])
         raise ValueError(
-            f"plane {i}: slope a_{j + 1} = {c[i, j]!r} exceeds the bound {slope_bound}"
+            f"plane {i}: slope a_{j + 1} = {c[i, j]!r} exceeds the bound {SLOPE_BOUND}"
         )
     dist0 = np.abs(c[:, -1]) / unit_normal_norms(c)
-    far = np.nonzero(dist0 > 1.0 + tol)[0]
+    far = np.nonzero(dist0 > 1.0 + 1e-9)[0]
     if far.size:
         i = int(far[0])
         raise ValueError(

@@ -21,7 +21,7 @@ from .bounds import (annotate, comparison_range, cs_bound_exponent, dov_bound,
                      main_bound, thm2d_exponent)
 from .constructions import ConstructionSpec, construct_sharp
 from .family import Family, read_family
-from .incidence import count_incidences_fast, count_incidences_oracle
+from .incidence import _require_count, count_incidences_fast, count_incidences_oracle
 from .regularity import min_separation, regularity_constant
 
 
@@ -41,6 +41,9 @@ class ExperimentConfig:
     planes_path: Optional[str] = None
 
     def __post_init__(self):
+        if not self.C > 0:
+            raise ValueError(f"C must be positive, got {self.C!r}")
+        _require_count("workers", self.workers)
         if self.counter not in ("fast", "oracle"):
             raise ValueError(f"counter must be fast or oracle, got {self.counter!r}")
         if (self.points_path is None) != (self.planes_path is None):
@@ -112,6 +115,10 @@ def _families_from(config):
     if config.points_path is not None:
         pf = read_family(config.points_path)
         tf = read_family(config.planes_path)
+        for path, fam in ((config.points_path, pf), (config.planes_path, tf)):
+            if (fam.dim, fam.delta) != (config.dim, config.delta):
+                raise ValueError(f"{path}: family has dim={fam.dim}, delta={fam.delta!r}; "
+                                 f"config has dim={config.dim}, delta={config.delta!r}")
         return pf, tf
     if config.construction != "sharp":
         raise ValueError(

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from incgeom.cli import main
+from incgeom import harness
+from incgeom.cli import build_parser, main
+from incgeom.constructions import ConstructionSpec, construct_sharp
 from incgeom.family import Family, write_family
 
 D5 = "2^-5"
@@ -108,6 +110,29 @@ class TestCount:
         assert code == 1
         assert "error:" in err
 
+    def test_files_must_match_dim_and_delta(self, tmp_path, capsys):
+        """3-D files at 2^-5 with the default --dim 2 --delta 2^-6 are refused."""
+        pts, pls = tmp_path / "p.txt", tmp_path / "l.txt"
+        pf, tf = construct_sharp(ConstructionSpec(d=3, delta=2.0**-5, s=1.75, t=1.75))
+        write_family(pf, pts)
+        write_family(tf, pls)
+        code, out, err = run(capsys, "count", "--points", str(pts), "--planes", str(pls))
+        assert code == 1
+        assert out == ""
+        assert "dim=3, delta=0.03125" in err and "dim=2, delta=0.015625" in err
+
+    @pytest.mark.parametrize("flag", ["--workers", "--cdelta"])
+    def test_bad_setting_is_refused_before_reading_files(self, flag, capsys, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("family read before the config was checked")
+
+        monkeypatch.setattr(harness, "read_family", unreachable)
+        code, out, err = run(capsys, "count", "--points", "p.txt", "--planes", "l.txt",
+                             flag, "0")
+        assert code == 1
+        assert out == ""
+        assert "error:" in err
+
     @pytest.mark.parametrize("counter", ["fast", "oracle"])
     def test_zero_workers_is_an_error(self, sharp_files, capsys, counter):
         pts, pls = sharp_files
@@ -136,7 +161,7 @@ class TestBounds:
 
 
 class TestCover:
-    ARGS = ("cover", "--dim", "3", "--delta", "2^-8",
+    ARGS = ("cover", "--delta", "2^-8",
             "--plane1", "0,0,0", "--plane2", "0.125,0,0.01")
 
     def test_full_cover_exits_zero(self, capsys):
@@ -179,3 +204,57 @@ def test_delta_argument_accepts_plain_floats(capsys):
                        "--s", "0.5", "--t", "0.5")
     assert code == 0
     assert json.loads(out)["planar"]["delta_exponent"] == pytest.approx(0.25)
+
+
+# Each subcommand takes only the flags its handler reads.
+KEPT = {
+    "construct": {"--dim", "--delta", "--s", "--t", "--seed", "--out", "--kind",
+                  "--spacings", "-n", "--size"},
+    "check": set(),
+    "count": {"--dim", "--delta", "--s", "--t", "--cdelta", "--mode", "--workers", "--out",
+              "--points", "--planes", "--counter"},
+    "bounds": {"--dim", "--delta", "--s", "--t", "--out", "--n-points", "--n-planes"},
+    "cover": {"--delta", "--seed", "--out", "--plane1", "--plane2", "--samples", "--shrink"},
+    "sweep": {"--dim", "--s", "--t", "--cdelta", "--mode", "--workers", "--out", "--deltas",
+              "--counter", "--max-ratio", "--max-spread"},
+}
+# Arguments each subcommand needs to parse at all.
+REQUIRED = {"cover": ["--plane1", "0,0,0", "--plane2", "0.125,0,0.01"],
+            "sweep": ["--deltas", "2^-5"]}
+DROPPED = [
+    ("construct", "--cdelta", "2"), ("construct", "--mode", "psi"),
+    ("construct", "--workers", "2"),
+    ("count", "--seed", "1"),
+    ("bounds", "--cdelta", "2"), ("bounds", "--mode", "psi"), ("bounds", "--seed", "1"),
+    ("bounds", "--workers", "2"),
+    ("cover", "--dim", "3"), ("cover", "--s", "1.5"), ("cover", "--t", "1.5"),
+    ("cover", "--cdelta", "2"), ("cover", "--mode", "psi"), ("cover", "--workers", "2"),
+    ("sweep", "--delta", "2^-6"), ("sweep", "--seed", "1"),
+]
+
+
+def _subparsers():
+    parser = build_parser()
+    (action,) = [a for a in parser._actions if a.dest == "command"]
+    return action.choices
+
+
+def test_each_subcommand_takes_only_the_flags_it_reads():
+    subs = _subparsers()
+    assert set(subs) == set(KEPT)
+    settable = 0
+    for name, sub in subs.items():
+        actions = [a for a in sub._actions if a.dest != "help"]
+        settable += len(actions)
+        assert {s for a in actions for s in a.option_strings} == KEPT[name]
+    assert settable == 46
+
+
+@pytest.mark.parametrize("command,flag,value", DROPPED)
+def test_dropped_flag_is_a_usage_error(command, flag, value, capsys):
+    argv = [command, *REQUIRED.get(command, [])]
+    build_parser().parse_args(argv)
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args([*argv, flag, value])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err

@@ -27,7 +27,7 @@ def lifted_pair(sharp_pair):
 class TestSpec:
     def test_accepts_valid(self):
         spec = ConstructionSpec(d=3, delta=2.0**-5, s=1.5, t=1.0)
-        assert spec.C == 1.0
+        assert (spec.d, spec.delta, spec.s, spec.t) == (3, 2.0**-5, 1.5, 1.0)
 
     def test_delta_must_be_dyadic(self):
         with pytest.raises(ValueError, match="power of two"):

@@ -30,6 +30,15 @@ class TestConfig:
         with pytest.raises(ValueError, match="path"):
             ExperimentConfig(points_path="p.txt")
 
+    def test_rejects_zero_workers(self):
+        with pytest.raises(ValueError, match="workers"):
+            ExperimentConfig(workers=0)
+
+    @pytest.mark.parametrize("C", [0.0, -1.0, float("nan")])
+    def test_rejects_nonpositive_C(self, C):
+        with pytest.raises(ValueError, match="C must be positive"):
+            ExperimentConfig(C=C)
+
 
 class TestRunExperiment:
     def test_default_run_pins_the_sharp_pair(self, default_report):
@@ -108,6 +117,20 @@ class TestFileBackedRun:
         assert rep.families["points"]["dim"] == 3
         assert rep.incidence.count > 0
         assert "cauchy_schwarz" in rep.bounds
+
+    def test_rejects_files_of_another_dimension(self, family_paths):
+        pp, tp = family_paths
+        cfg = ExperimentConfig(dim=2, delta=2.0**-5, points_path=pp, planes_path=tp)
+        with pytest.raises(ValueError,
+                           match=r"dim=3, delta=0\.03125; config has dim=2, delta=0\.03125"):
+            run_experiment(cfg)
+
+    def test_rejects_files_at_another_scale(self, family_paths):
+        pp, tp = family_paths
+        cfg = ExperimentConfig(dim=3, delta=2.0**-6, points_path=pp, planes_path=tp)
+        with pytest.raises(ValueError,
+                           match=r"dim=3, delta=0\.03125; config has dim=3, delta=0\.015625"):
+            run_experiment(cfg)
 
     def test_violated_assumptions_become_error_markers(self, family_paths):
         pp, tp = family_paths
