@@ -21,7 +21,8 @@ import numpy as np
 from scipy.linalg import block_diag
 from scipy.spatial import cKDTree
 
-from .geometry import check_plane_coeffs, point_plane_distance, unit_normal_norms
+from .geometry import (CANDIDATE_MARGIN, check_plane_coeffs, fold_dot, point_plane_distance,
+                       unit_normals)
 
 COUNT_CONSTANT = 64
 
@@ -34,21 +35,11 @@ _INFLATE = 1e-9
 # `Box.contains`, which `_covered` repeats.
 _CONTAINS_TOL = 1e-12
 
-# The candidate search works in frame coordinates divided by the half-lengths,
-# where each box is the unit max-norm ball about its centre.  Rounding errors
-# there are ~1e-16 of the coordinate size; widening the search by this relative
-# margin dwarfs them and `_CONTAINS_TOL`, so no accepted box is missed.
-_CANDIDATE_MARGIN = 1e-9
-
 
 def _in_box(offsets, axes, reach):
     """Rows of `offsets` (points minus a centre) with |axes[j] . offset| <=
-    reach[j] for all j, folding left over the d terms as `slab_offsets` does:
-    a row's verdict is the same alone or in a batch, unlike a BLAS product."""
-    y = offsets[:, :1] * axes[:, 0]
-    for k in range(1, axes.shape[1]):
-        y = y + offsets[:, k : k + 1] * axes[:, k]
-    return np.all(np.abs(y) <= reach, axis=-1)
+    reach[j] for all j, each product a `fold_dot`."""
+    return np.all(np.abs(fold_dot(offsets[:, None, :], axes)) <= reach, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -143,10 +134,8 @@ def _normalize(pi, label):
     if pi.ndim != 1 or pi.size < 2:
         raise ValueError(f"{label} must be a coefficient vector (a1..ad)")
     check_plane_coeffs(pi[None, :])
-    norm = float(unit_normal_norms(pi[None, :])[0])
-    normal = np.append(pi[:-1], -1.0) / norm
-    offset = float(pi[-1]) / norm  # plane is normal . x + offset = 0
-    return normal, offset
+    normals, offsets = unit_normals(pi[None, :])
+    return normals[0], float(offsets[0])
 
 
 def _frame(pi1, pi2, delta):
@@ -258,10 +247,13 @@ class CoverageReport:
 
 def _covered(cover, pts):
     """Mask of the rows of `pts` inside some box of `cover`: the expression of
-    `Box.contains` on the pairs a kd-tree proposes."""
+    `Box.contains` on the pairs a kd-tree proposes.  The search runs in frame
+    coordinates over the half-lengths, where each box is the unit max-norm
+    ball about its centre, widened by `CANDIDATE_MARGIN` of the coordinate
+    size, which also dwarfs `_CONTAINS_TOL`."""
     to_unit = cover.axes.T / cover.half_lengths
     size = 1.0 + max(np.abs(cover.centers).max(initial=0.0), np.abs(pts).max(initial=0.0))
-    reach = 1.0 + _CANDIDATE_MARGIN * size / cover.half_lengths.min()
+    reach = 1.0 + CANDIDATE_MARGIN * size / cover.half_lengths.min()
     pairs = cKDTree(pts @ to_unit).sparse_distance_matrix(
         cKDTree(cover.centers @ to_unit), reach, p=np.inf, output_type="ndarray"
     )

@@ -29,6 +29,12 @@ _HEADER_RE = re.compile(
 )
 
 
+def require_int(name, value, minimum=1):
+    """Refuse anything but an integer (bools excluded) of at least `minimum`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Family:
     """A delta-annotated collection of points or hyperplanes.
@@ -47,8 +53,7 @@ class Family:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown family kind {self.kind!r}; expected {KINDS}")
-        if isinstance(self.dim, bool) or not isinstance(self.dim, numbers.Integral) or self.dim < 2:
-            raise ValueError(f"dimension must be an integer >= 2, got {self.dim!r}")
+        require_int("dimension", self.dim, minimum=2)
         object.__setattr__(self, "dim", int(self.dim))
         if not (0.0 < self.delta < 1.0):
             raise ValueError(f"delta must lie in (0, 1), got {self.delta!r}")

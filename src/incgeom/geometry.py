@@ -5,6 +5,13 @@ A hyperplane is stored as its coefficient vector (a_1, ..., a_d) and means
 a_d is the intercept.  Vertical hyperplanes have no such representation and
 are rejected wherever input is parsed.  Points are plain coordinate arrays.
 Everything in this module is a pure function of its arguments.
+
+Two numeric rules keep every fast path bit for bit equal to the oracle:
+
+- every sum over coordinate terms is `fold_dot`'s fixed left fold, so a
+  row's value does not depend on the batch it is computed in;
+- every candidate filter in front of an exact test is widened by the
+  relative margin `CANDIDATE_MARGIN`.
 """
 
 from __future__ import annotations
@@ -18,15 +25,29 @@ SLOPE_BOUND = 10.0
 
 MODES = ("euclidean", "psi")
 
+# Rounding in the offset, box and distance arithmetic is at the 1e-16
+# relative level; a candidate filter widened by this relative margin sends
+# everything within it of its threshold on to the exact test, so the filter
+# never drops a pair the test would keep or keep one it would decide alone.
+CANDIDATE_MARGIN = 1e-9
+
+
+def fold_dot(a, b):
+    """a_0 b_0 + ... + a_{k-1} b_{k-1} over the last axis of broadcastable
+    arrays, as a fixed left fold of separate elementwise operations.  Unlike
+    a BLAS product or `np.sum`, the value of a row is bitwise the same alone
+    or in any batch, which is what the exact oracle/fast agreement rests on."""
+    acc = a[..., 0] * b[..., 0]
+    for i in range(1, a.shape[-1]):
+        acc = acc + a[..., i] * b[..., i]
+    return acc
+
 
 def slab_offsets(points, coeffs):
     """Signed slab offsets psi(p, pi) = a_1 p_1 + ... + a_{d-1} p_{d-1} - p_d + a_d.
 
     `points` and `coeffs` are (..., d) arrays with broadcastable leading
-    shapes.  The accumulation is a fixed left fold over the slope terms,
-    then -p_d, then +a_d, each as a separate elementwise operation.  That
-    makes the result bitwise identical however the inputs are batched or
-    sliced, which is what the exact oracle/fast counter agreement rests on.
+    shapes: `fold_dot` over the slope terms, then -p_d, then +a_d.
     """
     points = np.asarray(points, dtype=np.float64)
     coeffs = np.asarray(coeffs, dtype=np.float64)
@@ -37,26 +58,22 @@ def slab_offsets(points, coeffs):
         )
     if d < 2:
         raise ValueError("ambient dimension must be at least 2")
-    acc = points[..., 0] * coeffs[..., 0]
-    for i in range(1, d - 1):
-        acc = acc + points[..., i] * coeffs[..., i]
-    acc = acc - points[..., d - 1]
-    acc = acc + coeffs[..., d - 1]
-    return acc
+    return fold_dot(points[..., :-1], coeffs[..., :-1]) - points[..., -1] + coeffs[..., -1]
 
 
 def unit_normal_norms(coeffs):
-    """|u| for u = (a_1, ..., a_{d-1}, -1), the unnormalized plane normal.
-
-    Same fixed fold order as `slab_offsets`, for the same reason.
-    """
+    """|u| for u = (a_1, ..., a_{d-1}, -1), the unnormalized plane normal."""
     coeffs = np.asarray(coeffs, dtype=np.float64)
-    d = coeffs.shape[-1]
-    acc = coeffs[..., 0] * coeffs[..., 0]
-    for i in range(1, d - 1):
-        acc = acc + coeffs[..., i] * coeffs[..., i]
-    acc = acc + 1.0
-    return np.sqrt(acc)
+    return np.sqrt(fold_dot(coeffs[..., :-1], coeffs[..., :-1]) + 1.0)
+
+
+def unit_normals(coeffs):
+    """Unit normals u/|u| and offsets a_d/|u| of (..., d) planes: the plane
+    is {x : normal . x + offset = 0}."""
+    coeffs = np.asarray(coeffs, dtype=np.float64)
+    norms = unit_normal_norms(coeffs)
+    normals = np.concatenate([coeffs[..., :-1], np.full(coeffs.shape[:-1] + (1,), -1.0)], axis=-1)
+    return normals / norms[..., None], coeffs[..., -1] / norms
 
 
 def point_plane_distance(p, pi):

@@ -20,8 +20,9 @@ from ._version import __version__
 from .bounds import (annotate, comparison_range, cs_bound_exponent, dov_bound,
                      main_bound, thm2d_exponent)
 from .constructions import ConstructionSpec, construct_sharp
-from .family import Family, read_family
-from .incidence import _require_count, count_incidences_fast, count_incidences_oracle
+from .family import Family, read_family, require_int
+from .geometry import MODES
+from .incidence import count_incidences_fast, count_incidences_oracle
 from .regularity import min_separation, regularity_constant
 
 
@@ -43,7 +44,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.C > 0:
             raise ValueError(f"C must be positive, got {self.C!r}")
-        _require_count("workers", self.workers)
+        require_int("workers", self.workers)
+        if self.mode not in MODES:
+            raise ValueError(f"unknown mode {self.mode!r}; expected one of {MODES}")
         if self.counter not in ("fast", "oracle"):
             raise ValueError(f"counter must be fast or oracle, got {self.counter!r}")
         if (self.points_path is None) != (self.planes_path is None):

@@ -11,18 +11,16 @@ two paths:
   Each point's offset s = a . p - p_d is folded exactly as `slab_offsets`
   folds it, the distinct offsets are sorted once, and a plane with
   intercept b and threshold thr takes the offsets in [-b - w, -b + w] as
-  candidates, w = thr plus a 1e-9 relative margin.  Rounding moves
-  psi = s + b by about 1e-16 relative, so no incident offset falls outside
-  the window, and each candidate is decided by the oracle's own predicate
-  on one point with that offset.  This window margin is the whole
-  exactness argument.  Coordinates whose slope is 0 in every swept plane
-  add exact zeros to the fold, so they are dropped first: points that
-  differ only there (the lifted sharp pair's layers) are swept once, with
-  their multiplicity.
+  candidates, w = thr widened by `CANDIDATE_MARGIN`, and each candidate
+  is decided by the oracle's own predicate on one point with that offset.
+  Coordinates whose slope is 0 in every swept plane add exact zeros to the
+  fold, so they are dropped first: points that differ only there (the
+  lifted sharp pair's layers) are swept once, with their multiplicity.
 - Every other plane meets every leaf box of scipy's `cKDTree` of the
   points (Bentley 1975) in one broadcast pass, with no descent.  A box is
-  accepted or rejected whole with conservatively inflated bounds, and the
-  undecided leaves fall back to the oracle's predicate expression.
+  accepted or rejected whole only when its bounds, widened by
+  `CANDIDATE_MARGIN`, leave no doubt; the undecided leaves fall back to
+  the oracle's predicate expression.
 
 Both paths agree with the oracle bit for bit on every input, worker count
 and leaf size.
@@ -33,7 +31,6 @@ center plane, bucketed by the affine metric.
 
 from __future__ import annotations
 
-import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -41,17 +38,16 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .family import Family
-from .geometry import affine_metric, incidence_mask, slab_offsets, unit_normal_norms
+from .family import Family, require_int
+from .geometry import (CANDIDATE_MARGIN, affine_metric, fold_dot, incidence_mask,
+                       slab_offsets, unit_normal_norms)
 
 DEFAULT_LEAF_SIZE = 128
 
-# Relative safety margin for leaf classification and sweep windows.
-# Rounding errors in the offset arithmetic are at the 1e-16 relative level;
-# anything within 1e-9 of the threshold is sent to the exact predicate
-# instead of being classified, so classification can never disagree with
-# the predicate and a window never misses an incident offset.
-_CLASSIFY_MARGIN = 1e-9
+# A block of the oracle, the leaf pass or a sweep's window loop holds at
+# most this many pairs (or one leaf or plane), so transient
+# arrays stay at tens of megabytes regardless of family size.
+_BATCH_CAP = 2**21
 
 
 @dataclass(frozen=True)
@@ -87,13 +83,8 @@ def _histogram(values):
     return tuple((int(v), int(m)) for v, m in zip(vals, mult))
 
 
-def _require_count(name, value):
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-
-
 def _prepare(points_fam: Family, planes_fam: Family, cdelta, workers):
-    _require_count("workers", workers)
+    require_int("workers", workers)
     if points_fam.kind != "points":
         raise ValueError(f"first family must be points, got {points_fam.kind!r}")
     if planes_fam.kind != "hyperplanes":
@@ -153,7 +144,7 @@ def count_incidences_oracle(points_fam, planes_fam, cdelta, mode="euclidean", wo
     per_point = np.zeros(n, dtype=np.int64)
     if n and m:
         norms = unit_normal_norms(coeffs)
-        block = int(np.clip((1 << 21) // max(n, 1), 1, m))
+        block = int(np.clip(_BATCH_CAP // max(n, 1), 1, m))
         spans = [(j, min(j + block, m)) for j in range(0, m, block)]
 
         def run(span):
@@ -196,20 +187,6 @@ class _PointTree:
         self.halves = 0.5 * (bmax - bmin)
 
 
-def _fold_spread(abs_slopes, halves):
-    d = halves.shape[-1]
-    acc = abs_slopes[..., 0] * halves[..., 0]
-    for i in range(1, d - 1):
-        acc = acc + abs_slopes[..., i] * halves[..., i]
-    return acc + halves[..., d - 1]
-
-
-# A block of the leaf pass or of a sweep's window loop holds at most this
-# many pairs (or one leaf or plane), so transient arrays stay at tens of
-# megabytes regardless of family size.
-_BATCH_CAP = 1 << 21
-
-
 def _plane_thresholds(coeffs, cdelta, mode):
     """Unit-normal norms and the |psi| threshold of each plane."""
     norms = unit_normal_norms(coeffs)
@@ -232,8 +209,9 @@ def _count_chunk(tree, coeffs, norms, thresholds, cdelta, mode, plane_ids, m):
     for l0 in range(0, sizes.size, step):
         block = slice(l0, l0 + step)
         apsic = np.abs(slab_offsets(tree.centers[block, None], planes))
-        spread = _fold_spread(slopes, tree.halves[block, None])
-        margin = _CLASSIFY_MARGIN * (apsic + spread + thr)
+        halves = tree.halves[block, None]
+        spread = fold_dot(slopes, halves[..., :-1]) + halves[..., -1]
+        margin = CANDIDATE_MARGIN * (apsic + spread + thr)
         accept = apsic + spread + margin <= thr
         reject = apsic - spread - margin > thr
         per_plane[plane_ids] += sizes[block] @ accept
@@ -314,10 +292,9 @@ def _sweep_class(distinct, first, mult, kept, pts, coeffs, norms, thresholds,
     s_inv = np.empty(ss.size, dtype=np.int64)
     s_inv[order] = np.cumsum(new) - 1
 
-    # every incident offset has |s + b| <= thr up to rounding, ~1e-16 relative
     b = coeffs[planes, -1]
     thr = thresholds[planes]
-    w = thr + _CLASSIFY_MARGIN * (np.abs(b) + thr + 1.0)
+    w = thr + CANDIDATE_MARGIN * (np.abs(b) + thr + 1.0)
     lo = np.searchsorted(values, -b - w, side="left")
     lengths = np.searchsorted(values, -b + w, side="right") - lo
     per_value = np.zeros(values.size, dtype=np.int64)
@@ -383,7 +360,7 @@ def count_incidences_fast(points_fam, planes_fam, cdelta, mode="euclidean",
     chunking, and per-point counts are integer sums, so any worker count or
     leaf size yields the same report."""
     _prepare(points_fam, planes_fam, cdelta, workers)
-    _require_count("leaf_size", leaf_size)
+    require_int("leaf_size", leaf_size)
     pts = points_fam.elements
     coeffs = planes_fam.elements
     n, m = len(pts), len(coeffs)

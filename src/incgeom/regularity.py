@@ -37,7 +37,7 @@ from scipy.signal import fftconvolve  # noqa: F401  (perfbench/tracing.py wraps 
 from scipy.spatial import cKDTree
 
 from .family import Family
-from .geometry import affine_metric, code_coordinates, unit_normal_norms
+from .geometry import CANDIDATE_MARGIN, affine_metric, code_coordinates, unit_normals
 
 # Cells a dense count may allocate (the code-max summed-area table, or the
 # Euclidean FFT grid of one scale) and the fallback tree limit; past both,
@@ -45,10 +45,6 @@ from .geometry import affine_metric, code_coordinates, unit_normal_norms
 DENSE_LIMIT = 64_000_000
 TREE_LIMIT = 60_000
 AFFINE_LIMIT = 4_000
-
-# Relative widening of the separation candidate radius: the kd-tree distances
-# and the d_A expression each round by a few ulps, far below this margin.
-_SEPARATION_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -95,7 +91,8 @@ def min_separation(fam: Family) -> float:
     Planes embed as (unit normal, normalised intercept) vectors x, and
     sqrt(a^2 + b^2) <= a + b <= sqrt(2 (a^2 + b^2)) gives |x - x'| <= d_A <=
     sqrt(2) |x - x'|: the pairs within sqrt(2) times the least embedded
-    distance hold the minimum, and d_A is evaluated on those alone."""
+    distance, widened by `CANDIDATE_MARGIN`, hold the minimum, and d_A is
+    evaluated on those alone."""
     n = len(fam)
     if n < 2:
         return math.inf
@@ -103,14 +100,10 @@ def min_separation(fam: Family) -> float:
         tree = cKDTree(fam.elements)
         dist, _ = tree.query(fam.elements, k=2, workers=-1)
         return float(dist[:, 1].min())
-    coeffs = fam.elements
-    norms = unit_normal_norms(coeffs)
-    normals = np.concatenate([coeffs[:, :-1], np.full((n, 1), -1.0)], axis=1)
-    normals = normals / norms[:, None]
-    verts = coeffs[:, -1] / norms
+    normals, verts = unit_normals(fam.elements)
     tree = cKDTree(np.column_stack([normals, verts]))
     dist, _ = tree.query(tree.data, k=2, workers=-1)
-    reach = math.sqrt(2.0) * float(dist[:, 1].min()) * (1.0 + _SEPARATION_MARGIN)
+    reach = math.sqrt(2.0) * float(dist[:, 1].min()) * (1.0 + CANDIDATE_MARGIN)
     i, j = tree.query_pairs(reach, output_type="ndarray").T
     # the reference scan's d_A expression, so the two agree bit for bit
     diff = normals[i] - normals[j]

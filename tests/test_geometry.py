@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 from incgeom.geometry import (affine_metric, check_plane_coeffs,
                               code_coordinates, code_metric, dual_plane,
-                              dual_point, incidence_predicate,
+                              dual_point, fold_dot, incidence_predicate,
                               phong_stein_determinant, phong_stein_matrix,
-                              point_plane_distance, slab_offsets)
+                              point_plane_distance, slab_offsets,
+                              unit_normal_norms)
 
 
 def projection_distance(p, coeffs):
@@ -247,3 +248,54 @@ class TestValidation:
         want = np.einsum("nd,md->nm", pts[:, :3], coeffs[:, :3]) - pts[:, [3]] + coeffs[:, 3]
         got = slab_offsets(pts[:, None, :], coeffs[None, :, :])
         assert np.allclose(got, want, atol=1e-12)
+
+
+def scalar_fold(a, b):
+    """a_0 b_0 + ... + a_{k-1} b_{k-1} as a left fold of Python floats."""
+    acc = float(a[0]) * float(b[0])
+    for x, y in zip(a[1:], b[1:]):
+        acc = acc + float(x) * float(y)
+    return acc
+
+
+class TestFoldDot:
+    """`fold_dot` is the one coordinate sum every exact path uses: each row
+    must equal the scalar left fold, alone or in any batch."""
+
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_leaf_pass_shapes(self, d):
+        rng = np.random.default_rng(d)
+        k = d - 1
+        halves = rng.uniform(0, 0.1, size=(40, 1, k))
+        slopes = np.abs(rng.uniform(-1, 1, size=(1, 30, k)))
+        batch = fold_dot(slopes, halves)
+        assert batch.shape == (40, 30)
+        for i in range(40):
+            assert np.array_equal(fold_dot(slopes, halves[i : i + 1]), batch[i : i + 1])
+            for j in range(30):
+                assert batch[i, j] == scalar_fold(slopes[0, j], halves[i, 0])
+        for j in range(30):
+            assert np.array_equal(fold_dot(slopes[:, j : j + 1], halves), batch[:, j : j + 1])
+
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_box_frame_shapes(self, d):
+        rng = np.random.default_rng(10 + d)
+        axes = np.linalg.qr(rng.normal(size=(d, d)))[0]
+        offsets = rng.uniform(-1, 1, size=(60, d))
+        batch = fold_dot(offsets[:, None, :], axes)
+        assert batch.shape == (60, d)
+        for r in range(60):
+            assert np.array_equal(fold_dot(offsets[r : r + 1, None, :], axes), batch[r : r + 1])
+            for j in range(d):
+                assert batch[r, j] == scalar_fold(offsets[r], axes[j])
+
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_offsets_and_norms_are_the_scalar_fold(self, d):
+        rng = np.random.default_rng(20 + d)
+        pts = rng.uniform(-1, 1, size=(50, d))
+        coeffs = rng.uniform(-1, 1, size=(50, d))
+        offsets = slab_offsets(pts, coeffs)
+        norms = unit_normal_norms(coeffs)
+        for p, c, got, norm in zip(pts, coeffs, offsets, norms):
+            assert got == scalar_fold(p[:-1], c[:-1]) - float(p[-1]) + float(c[-1])
+            assert norm == math.sqrt(scalar_fold(c[:-1], c[:-1]) + 1.0)

@@ -30,6 +30,10 @@ class TestConfig:
         with pytest.raises(ValueError, match="path"):
             ExperimentConfig(points_path="p.txt")
 
+    def test_rejects_unknown_mode(self):
+        with pytest.raises(ValueError, match="unknown mode 'psii'"):
+            ExperimentConfig(dim=3, delta=DELTA, mode="psii")
+
     def test_rejects_zero_workers(self):
         with pytest.raises(ValueError, match="workers"):
             ExperimentConfig(workers=0)

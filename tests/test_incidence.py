@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from incgeom import incidence
 from incgeom.constructions import construct_grid, construct_random, construct_sharp_2d
 from incgeom.family import Family
-from incgeom.geometry import incidence_mask, slab_offsets, unit_normal_norms
+from incgeom.geometry import fold_dot, incidence_mask, slab_offsets, unit_normal_norms
 from incgeom.incidence import (annulus_growth_check, annulus_partition,
                                count_incidences_fast, count_incidences_oracle)
 
@@ -222,6 +222,42 @@ class TestFastCounter:
         oracle = count_incidences_oracle(pts, pls, 0.07)
         for leaf_size in (1, 2, 8, 64):
             assert count_incidences_fast(pts, pls, 0.07, leaf_size=leaf_size) == oracle
+
+    @pytest.mark.parametrize("mode", ["euclidean", "psi"])
+    def test_accept_margin_at_the_box_edge(self, mode):
+        """Two-point leaves whose box meets |psi(centre)| + spread <= thr
+        in floating point although the oracle rejects one of the points:
+        only the accept-side margin keeps the leaf from being accepted whole."""
+        rng = np.random.default_rng(11)
+        found = 0
+        for _ in range(5000):
+            p = rng.uniform(-0.5, 0.5, 3)
+            pts = np.stack([p, p + rng.uniform(-0.05, 0.05, 3)])
+            cdelta = rng.uniform(0.01, 0.2)
+            slopes = rng.uniform(-1, 1, 2)
+            tree = incidence._PointTree(pts, 2)
+            assert tree.lo.size == 1
+            center, halves = tree.centers[0], tree.halves[0]
+            spread = fold_dot(np.abs(slopes), halves[:-1]) + halves[-1]
+            flat = np.append(slopes, 0.0)
+            thr = cdelta * unit_normal_norms(flat) if mode == "euclidean" else cdelta
+            b = thr - spread - slab_offsets(center, flat)
+            for k in range(-4, 5):
+                plane = np.append(slopes, b + k * np.spacing(b))
+                edge = np.abs(slab_offsets(center, plane)) + spread <= thr
+                if edge and not incidence_mask(pts, plane, cdelta, mode).all():
+                    break
+            else:
+                continue
+            fams = (Family(kind="points", elements=pts, delta=DELTA, dim=3),
+                    Family(kind="hyperplanes", elements=plane[None], delta=DELTA, dim=3))
+            oracle = count_incidences_oracle(*fams, cdelta, mode=mode)
+            assert oracle.count < 2
+            assert count_incidences_fast(*fams, cdelta, mode=mode, leaf_size=2) == oracle
+            found += 1
+            if found == 5:
+                break
+        assert found == 5
 
     def test_degenerate_point_cloud(self):
         # all points identical: zero-extent boxes must not split forever
