@@ -3,10 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from incgeom.constructions import (ConstructionSpec, construct_grid,
+from incgeom.constructions import (ConstructionSpec, _draw_points, construct_grid,
                                    construct_random, construct_sharp,
                                    construct_sharp_2d, lift_to_dim)
+from incgeom.family import Family
+from incgeom.geometry import affine_metric
 from incgeom.incidence import count_incidences_fast
 from incgeom.regularity import min_separation, regularity_constant
 
@@ -193,3 +197,131 @@ class TestRandom:
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):
             construct_random("boxes", 2, 0.05, 10, seed=0)
+
+
+def _reference_random(kind, d, delta, n, seed):
+    """The one-draw-at-a-time loop `construct_random` replaced: each draw is
+    tested against every element accepted so far."""
+    if kind not in ("points", "hyperplanes"):
+        raise ValueError(f"unknown family kind {kind!r}")
+    if d < 2:
+        raise ValueError(f"dimension must be at least 2, got {d}")
+    if not 0 < delta < 1:
+        raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
+    if n < 0:
+        raise ValueError(f"negative family size {n}")
+    rng = np.random.default_rng(seed)
+    accepted = np.empty((n, d))
+    budget = 1000 * max(n, 1)
+    attempts = 0
+    k = 0
+    while k < n:
+        if attempts >= budget:
+            raise ValueError(
+                f"could not place {n} delta-separated {kind} in {budget} draws "
+                f"(placed {k} of {n}, d={d}, delta={delta!r}); the request looks infeasible"
+            )
+        attempts += 1
+        if kind == "points":
+            cand = rng.uniform(-1.0, 1.0, size=d)
+            if cand @ cand > 1.0:
+                continue
+            ok = k == 0 or np.min(np.sum((accepted[:k] - cand) ** 2, axis=1)) >= delta * delta
+        else:
+            slopes = rng.uniform(-1.0, 1.0, size=d - 1)
+            norm = math.sqrt(float(slopes @ slopes) + 1.0)
+            cand = np.append(slopes, rng.uniform(-norm, norm))
+            ok = k == 0 or np.min(affine_metric(cand, accepted[:k])) >= delta
+        if ok:
+            accepted[k] = cand
+            k += 1
+    return Family(kind, accepted, delta, d, meta={"seed": seed})
+
+
+def _outcome(construct, *args):
+    """The family's bytes, or the message it raised."""
+    try:
+        return construct(*args).elements.tobytes()
+    except ValueError as e:
+        return str(e)
+
+
+@st.composite
+def _random_requests(draw):
+    """(kind, d, delta, n, seed) with n at most (2/delta)^d / 4, which keeps
+    every draw well short of the random-sequential jamming count (d = 2
+    points at delta = 0.3 jam near 30, planes near 45), so the reference
+    loop stays cheap; the dense and infeasible settings are listed apart."""
+    kind = draw(st.sampled_from(["points", "hyperplanes"]))
+    d = draw(st.integers(2, 5))
+    delta = draw(st.floats(0.03, 0.3))
+    n = draw(st.integers(0, min(300, int((2.0 / delta) ** d / 4))))
+    return kind, d, delta, n, draw(st.integers(0, 2**32 - 1))
+
+
+class TestRandomMatchesReference:
+    """`construct_random` draws in batches and finds conflicts with a
+    kd-tree; the one-draw loop above is the specification."""
+
+    @given(_random_requests())
+    # dense settings near the jamming count: most draws are rejected and
+    # conflicts inside a batch are common
+    @example(("points", 2, 0.3, 28, 1))
+    @example(("points", 2, 0.1, 200, 2))
+    @example(("points", 3, 0.3, 110, 3))
+    @example(("hyperplanes", 2, 0.3, 40, 4))
+    @example(("hyperplanes", 2, 0.15, 150, 5))
+    @settings(max_examples=30, deadline=None)
+    def test_same_bytes(self, request):
+        assert _outcome(construct_random, *request) == _outcome(_reference_random, *request)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_ball_test_on_the_unit_sphere(self, d):
+        """Draws within an ulp of the unit sphere, where `fold_dot` and a
+        BLAS `x @ x` can fall on opposite sides of 1: the rows kept are the
+        ones the loop's `cand @ cand > 1.0` keeps."""
+        rng = np.random.default_rng(d)
+        v = rng.normal(size=(400, d))
+        u = (v / np.linalg.norm(v, axis=1, keepdims=True) + 1.0) / 2.0
+        u = np.concatenate([u, np.nextafter(u, 0.0), np.nextafter(u, 1.0)])
+
+        class Replay:
+            def random(self, shape):
+                assert shape == u.shape
+                return u
+
+        cands = -1.0 + 2.0 * u
+        want = cands[[not c @ c > 1.0 for c in cands]]
+        assert np.array_equal(_draw_points(Replay(), len(u), d), want)
+
+    # the two d = 2, delta = 0.5 requests place an element so close to the
+    # budget that counting only in-ball draws as attempts changes the message
+    # ("placed 11 of 12" becomes a family, "placed 12 of 14" becomes 13)
+    @pytest.mark.parametrize("request_", [
+        ("points", 2, 0.7, 10, 0),
+        ("points", 2, 0.5, 12, 21),
+        ("points", 2, 0.5, 14, 9),
+        ("points", 3, 0.8, 16, 2),
+        ("hyperplanes", 2, 0.7, 12, 3),
+    ])
+    def test_budget_exhaustion_attempt_for_attempt(self, request_):
+        got = _outcome(construct_random, *request_)
+        assert isinstance(got, str) and "infeasible" in got
+        assert got == _outcome(_reference_random, *request_)
+
+
+class TestRandomInput:
+    @pytest.mark.parametrize("args, name", [
+        (("points", 3, 0.1, 2.5, 0), "family size"),
+        (("points", 3.0, 0.1, 5, 0), "dimension"),
+        (("points", True, 0.1, 5, 0), "dimension"),
+        (("hyperplanes", 1, 0.1, 5, 0), "dimension"),
+        (("points", 3, 0.1, -1, 0), "family size"),
+    ])
+    def test_refused_at_the_boundary(self, args, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            construct_random(*args)
+
+    def test_numpy_integers_accepted(self):
+        a = construct_random("points", np.int64(3), 0.1, np.int32(20), 7)
+        assert np.array_equal(a.elements, construct_random("points", 3, 0.1, 20, 7).elements)

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from incgeom.geometry import (affine_metric, check_plane_coeffs,
+from incgeom.geometry import (CANDIDATE_MARGIN, affine_metric, check_plane_coeffs,
                               code_coordinates, code_metric, dual_plane,
                               dual_point, fold_dot, incidence_predicate,
                               phong_stein_determinant, phong_stein_matrix,
                               point_plane_distance, slab_offsets,
-                              unit_normal_norms)
+                              unit_normal_norms, unit_normals)
 
 
 def projection_distance(p, coeffs):
@@ -134,6 +134,36 @@ class TestAffineMetric:
             assert affine_metric(p1, p2) == affine_metric(p2, p1)
             if not np.array_equal(p1, p2):
                 assert affine_metric(p1, p2) > 0
+
+    @given(st.data(), st.integers(2, 6), st.sampled_from(["equal", "intercept", "any"]))
+    @settings(max_examples=100, deadline=None)
+    def test_embedding_distance_brackets_the_metric(self, data, d, relation):
+        """x <= d_A <= sqrt(2) x for the Euclidean distance x between
+        (unit normal, normalised intercept) embeddings, within the relative
+        CANDIDATE_MARGIN: the bound that `min_separation`'s and
+        `construct_random`'s kd-tree candidate searches rest on."""
+        # below 1e-100 a squared difference can underflow, in affine_metric
+        # as anywhere, which says nothing about the bracket
+        def coord(bound):
+            return st.floats(-bound, bound).map(lambda v: v if abs(v) > 1e-100 else 0.0)
+
+        def plane():
+            return data.draw(st.lists(coord(1.0), min_size=d - 1, max_size=d - 1)) + [
+                data.draw(coord(2.0))]
+
+        pi1 = np.array(plane())
+        pi2 = pi1.copy()
+        if relation == "intercept":
+            pi2[-1] = data.draw(coord(2.0))
+        elif relation == "any":
+            pi2 = np.array(plane())
+        embedded = [np.append(*unit_normals(pi)) for pi in (pi1, pi2)]
+        x = math.hypot(*(embedded[0] - embedded[1]))
+        d_a = float(affine_metric(pi1, pi2))
+        assert x <= d_a * (1.0 + CANDIDATE_MARGIN)
+        assert d_a <= math.sqrt(2.0) * x * (1.0 + CANDIDATE_MARGIN)
+        if relation == "equal":
+            assert x == d_a == 0.0
 
 
 def test_code_coordinates_permutation():
