@@ -106,6 +106,24 @@ def incidence_predicate(p, pi, cdelta, mode="euclidean"):
     return bool(incidence_mask(p, pi, cdelta, mode))
 
 
+def root_sum_squares(sq, make_diff):
+    """np.sqrt(sq) for sq, the plain sum of squares of a difference vector
+    over its last axis, kept positive where the squares underflow.  Where sq
+    is zero or subnormal although some difference is not zero, the norm is
+    taken of the differences scaled by their largest magnitude, as
+    `math.hypot` does; everywhere else the result is np.sqrt(sq) bit for bit.
+    `make_diff()` returns the differences and is called only in that case."""
+    root = np.sqrt(sq)
+    low = sq < np.finfo(np.float64).tiny
+    if not np.any(low):
+        return root
+    diff = make_diff()
+    scale = np.max(np.abs(diff), axis=-1)
+    redo = low & (scale > 0)
+    unit = diff / np.where(redo, scale, 1.0)[..., None]
+    return np.where(redo, scale * np.sqrt(fold_dot(unit, unit)), root)[()]
+
+
 def affine_metric(coeffs1, coeffs2):
     """Distance between hyperplanes: |u/|u| - v/|v|| + |a_d/|u| - b_d/|v||.
 
@@ -122,11 +140,17 @@ def affine_metric(coeffs1, coeffs2):
         )
     n1 = unit_normal_norms(coeffs1)
     n2 = unit_normal_norms(coeffs2)
-    acc = (coeffs1[..., 0] / n1 - coeffs2[..., 0] / n2) ** 2
-    for i in range(1, d - 1):
-        acc = acc + (coeffs1[..., i] / n1 - coeffs2[..., i] / n2) ** 2
-    acc = acc + (1.0 / n2 - 1.0 / n1) ** 2
-    normal_part = np.sqrt(acc)
+
+    def normal_diff(i):
+        if i < d - 1:
+            return coeffs1[..., i] / n1 - coeffs2[..., i] / n2
+        return 1.0 / n2 - 1.0 / n1
+
+    acc = normal_diff(0) ** 2
+    for i in range(1, d):
+        acc = acc + normal_diff(i) ** 2
+    normal_part = root_sum_squares(
+        acc, lambda: np.stack([normal_diff(i) for i in range(d)], axis=-1))
     intercept_part = np.abs(coeffs1[..., d - 1] / n1 - coeffs2[..., d - 1] / n2)
     return normal_part + intercept_part
 

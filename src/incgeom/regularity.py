@@ -12,13 +12,33 @@ between cell positions.  For families whose coordinates lie on the
 delta-lattice (every construction in this package) this equals the
 element-centered count; in general it is a constant-factor proxy, in the
 same spirit as counting occupied grid cells instead of covering balls.
-The counts are exact integers.  Code-max balls are boxes, counted from one
-summed-area table of the occupancy (Crow 1984).  Euclidean balls are counted
-by a circular FFT: with n cells and c = min(reach, n - 1) on an axis, no
-two cells lie farther apart than n - 1, so a kernel clipped to |o| <= c
-loses nothing, and with period L >= n + c an offset past c wraps to at
-least L - (n - 1) > c, so no alias lands in a ball.  A count 0.25 or more
-from an integer raises.
+The counts are exact integers.
+
+A profile first plans every scale, then counts, so a family too large to
+count exactly is refused before any counting work.  Each scale takes one
+path:
+
+- table: code-max balls are boxes, counted from one summed-area table of
+  the occupancy (Crow 1984);
+- full ball: a Euclidean scale at which some centre's ball holds every
+  occupied cell has the cover as its maximum, attained first at the first
+  such centre, and needs no grid.  The farthest corner of the cells'
+  bounding box bounds a centre's farthest cell from above, and the extreme
+  cells along the 2^d diagonal directions bound it from below, in exact
+  int64 squared distances (for boxes whose squared diagonal stays below
+  2^53, so that they are exact in float64 too).  The shortcut is taken
+  only when the first centre the upper bound passes comes after centres
+  that the lower bound all rule out, so its argmax is the one a full count
+  would pick;
+- FFT: other Euclidean scales are a circular FFT convolution.  With n
+  cells and c = min(reach, n - 1) on an axis, no two cells lie farther
+  apart than n - 1, so a kernel clipped to |o| <= c loses nothing, and with
+  period L >= n + c an offset past c wraps to at least L - (n - 1) > c, so
+  no alias lands in a ball.  A count 0.25 or more from an integer raises;
+- tree: a scale whose table or FFT grid would exceed DENSE_LIMIT cells is
+  counted by a kd-tree, up to TREE_LIMIT occupied cells;
+- refusal: past both limits the profile raises ValueError.
+
 Hyperplane separation is exact at any size: embedded as (unit normal,
 normalised intercept), planes are no farther apart than in the affine
 metric and at least 1/sqrt(2) as far, so a kd-tree proposes every pair that
@@ -37,7 +57,8 @@ from scipy.signal import fftconvolve  # noqa: F401  (perfbench/tracing.py wraps 
 from scipy.spatial import cKDTree
 
 from .family import Family
-from .geometry import CANDIDATE_MARGIN, affine_metric, code_coordinates, unit_normals
+from .geometry import (CANDIDATE_MARGIN, affine_metric, code_coordinates, root_sum_squares,
+                       unit_normals)
 
 # Cells a dense count may allocate (the code-max summed-area table, or the
 # Euclidean FFT grid of one scale) and the fallback tree limit; past both,
@@ -75,6 +96,18 @@ def measurement_coordinates(fam: Family):
     return code_coordinates(fam.elements)
 
 
+def _occupied_cells(cells):
+    """The distinct rows of an (n, d) int64 array in lexicographic order,
+    and the index of each row's first occurrence: what
+    `np.unique(cells, axis=0, return_index=True)` returns, from a stable
+    lexsort over the columns and a row difference."""
+    order = np.lexsort(cells.T[::-1])
+    ranked = cells[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    return ranked[first], order[first]
+
+
 def covering_number(fam: Family, rho) -> int:
     """Number of occupied cells of the rho-grid anchored at the origin."""
     if not rho > 0:
@@ -82,7 +115,7 @@ def covering_number(fam: Family, rho) -> int:
     if len(fam) == 0:
         return 0
     cells = np.floor(measurement_coordinates(fam) / rho).astype(np.int64)
-    return int(np.unique(cells, axis=0).shape[0])
+    return int(_occupied_cells(cells)[0].shape[0])
 
 
 def min_separation(fam: Family) -> float:
@@ -97,7 +130,9 @@ def min_separation(fam: Family) -> float:
     if n < 2:
         return math.inf
     if fam.kind == "points":
-        tree = cKDTree(fam.elements)
+        # sliding-midpoint splits and uncompacted nodes build and query
+        # faster on lattice families; the distances are the same
+        tree = cKDTree(fam.elements, balanced_tree=False, compact_nodes=False)
         dist, _ = tree.query(fam.elements, k=2, workers=-1)
         return float(dist[:, 1].min())
     normals, verts = unit_normals(fam.elements)
@@ -107,7 +142,8 @@ def min_separation(fam: Family) -> float:
     i, j = tree.query_pairs(reach, output_type="ndarray").T
     # the reference scan's d_A expression, so the two agree bit for bit
     diff = normals[i] - normals[j]
-    return float((np.sqrt(np.sum(diff * diff, axis=-1)) + np.abs(verts[i] - verts[j])).min())
+    normal_part = root_sum_squares(np.sum(diff * diff, axis=-1), lambda: diff)
+    return float((normal_part + np.abs(verts[i] - verts[j])).min())
 
 
 def _scale_radii(delta):
@@ -156,56 +192,102 @@ def _counts_tree(tree, ratio, metric):
     return np.asarray(counts, dtype=np.int64)
 
 
+def _full_ball_centre(offsets, corner2, ratio):
+    """Row of the first centre whose Euclidean `ratio`-ball holds every
+    occupied cell, when the corner and diagonal bounds of the module
+    docstring decide it; None when they do not.  `corner2` holds each
+    centre's squared distance to its farthest bounding-box corner.  Squared
+    distances are exact int64 and meet ratio * ratio as the FFT kernel's
+    do."""
+    r2 = ratio * ratio
+    passes = corner2 <= r2
+    k0 = int(np.argmax(passes))
+    if not passes[k0]:
+        return None
+    if k0 == 0:
+        return 0
+    lower = np.zeros(k0, dtype=np.int64)
+    for signs in itertools.product((1, -1), repeat=offsets.shape[1] - 1):
+        proj = offsets @ np.array((1,) + signs)
+        for far in (offsets[np.argmax(proj)], offsets[np.argmin(proj)]):
+            lower = np.maximum(lower, np.sum((offsets[:k0] - far) ** 2, axis=1))
+    return k0 if np.all(lower > r2) else None
+
+
 def _scale_profile(fam: Family):
     """Per-scale maxima of occupied-cell counts in balls around occupied
     cells.  Returns (radii, max_counts, argmax element index per scale,
     covering number).  Independent of the exponent s, so one profile serves
     every regularity variant and the bisection in `best_dimension`.
 
-    Counts come from integer prefix sums (code-max) or an aliasing-free
-    circular FFT (Euclidean); a scale whose summed-area table or FFT grid
-    would exceed DENSE_LIMIT cells is counted by a kd-tree instead."""
+    Every scale's path is planned before anything is counted (module
+    docstring): the summed-area table for code-max balls; for Euclidean
+    balls the full-ball shortcut where `_full_ball_centre` finds a centre,
+    else the circular FFT; a kd-tree for a scale whose table or FFT grid
+    would exceed DENSE_LIMIT cells; and a ValueError, raised before any
+    count, when that tree would exceed TREE_LIMIT cells."""
     if len(fam) == 0:
         raise ValueError("regularity profile of an empty family")
     delta = fam.delta
     metric = "euclidean" if fam.kind == "points" else "chebyshev"
     coords = measurement_coordinates(fam)
     cells = np.floor(coords / delta).astype(np.int64)
-    uniq, first_idx = np.unique(cells, axis=0, return_index=True)
+    uniq, first_idx = _occupied_cells(cells)
     cover = uniq.shape[0]
-    lo = uniq.min(axis=0)
-    offsets = uniq - lo
+    offsets = uniq - uniq.min(axis=0)
     shape = offsets.max(axis=0) + 1
 
     radii = _scale_radii(delta)
+    corner2 = None
+    if metric == "euclidean" and fam.dim * int(shape.max() - 1) ** 2 < 2**53:
+        # each centre's squared distance to its farthest box corner, the
+        # shortcut's upper bound; past 2^53 squares are not exact in float64
+        corner2 = np.sum(np.maximum(offsets, shape - 1 - offsets) ** 2, axis=1)
+    plan = []
+    for r in radii:
+        ratio = r / delta
+        reach = int(math.floor(ratio + 1e-9))
+        if metric == "chebyshev":
+            step, dense = ("table", reach), math.prod(shape + 1)
+        else:
+            centre = None if corner2 is None else _full_ball_centre(offsets, corner2, ratio)
+            if centre is not None:
+                plan.append(("full", centre))
+                continue
+            clip = np.minimum(reach, shape - 1)
+            period = [next_fast_len(int(n + c)) for n, c in zip(shape, clip)]
+            step, dense = ("fft", ratio, clip, period), math.prod(period)
+        if dense <= DENSE_LIMIT:
+            plan.append(step)
+        elif cover <= TREE_LIMIT:
+            plan.append(("tree", ratio, metric))
+        else:
+            raise ValueError(
+                f"family too large for an exact regularity profile at scale r={float(r)!r} "
+                f"({cover} occupied cells; the dense count would allocate {dense} "
+                f"cells, over DENSE_LIMIT={DENSE_LIMIT})"
+            )
+
     table = tree = None
-    if metric == "chebyshev" and math.prod(shape + 1) <= DENSE_LIMIT:
+    if plan[0][0] == "table":
         table = np.zeros(tuple(shape + 1), dtype=np.int64)
         table[tuple((offsets + 1).T)] = 1
         for k in range(fam.dim):
             table = np.cumsum(table, axis=k)
     max_counts = np.empty(radii.size, dtype=np.int64)
     argmax_elem = np.empty(radii.size, dtype=np.int64)
-    for j, r in enumerate(radii):
-        ratio = r / delta
-        reach = int(math.floor(ratio + 1e-9))
-        clip = np.minimum(reach, shape - 1)
-        period = [next_fast_len(int(n + c)) for n, c in zip(shape, clip)]
-        if table is not None:
-            counts = _box_counts(table, offsets, reach)
-        elif metric == "euclidean" and math.prod(period) <= DENSE_LIMIT:
-            counts = _ball_counts(offsets, ratio, clip, period)
-        elif cover <= TREE_LIMIT:
+    for j, (path, *args) in enumerate(plan):
+        if path == "full":
+            max_counts[j], argmax_elem[j] = cover, first_idx[args[0]]
+            continue
+        if path == "table":
+            counts = _box_counts(table, offsets, *args)
+        elif path == "fft":
+            counts = _ball_counts(offsets, *args)
+        else:
             if tree is None:
                 tree = cKDTree(offsets.astype(np.float64))
-            counts = _counts_tree(tree, ratio, metric)
-        else:
-            dense = math.prod(shape + 1) if metric == "chebyshev" else math.prod(period)
-            raise ValueError(
-                f"family too large for an exact regularity profile at scale r={r!r} "
-                f"({cover} occupied cells; the dense count would allocate {dense} "
-                f"cells, over DENSE_LIMIT={DENSE_LIMIT})"
-            )
+            counts = _counts_tree(tree, *args)
         k = int(np.argmax(counts))
         max_counts[j] = counts[k]
         argmax_elem[j] = first_idx[k]

@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from incgeom.family import Family
 from incgeom.geometry import (CANDIDATE_MARGIN, affine_metric, check_plane_coeffs,
                               code_coordinates, code_metric, dual_plane,
                               dual_point, fold_dot, incidence_predicate,
                               phong_stein_determinant, phong_stein_matrix,
                               point_plane_distance, slab_offsets,
                               unit_normal_norms, unit_normals)
+from incgeom.regularity import min_separation
 
 
 def projection_distance(p, coeffs):
@@ -135,6 +137,42 @@ class TestAffineMetric:
             if not np.array_equal(p1, p2):
                 assert affine_metric(p1, p2) > 0
 
+    @pytest.mark.parametrize("gap", [1e-200, 2.9e-284])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_tiny_gaps_stay_positive(self, gap, d):
+        """Gaps whose squares underflow: a slope gap between planes through
+        the origin (|normal difference| = gap), the same gap on every slope
+        (sqrt(d - 1) gap), and an intercept gap.  `min_separation` of each
+        pair agrees."""
+        zero = np.zeros(d)
+        for other, want in ((np.eye(d)[0] * gap, gap),
+                            (np.append(np.full(d - 1, gap), 0.0), math.sqrt(d - 1) * gap),
+                            (np.eye(d)[-1] * gap, gap)):
+            got = float(affine_metric(zero, other))
+            assert got == pytest.approx(want, rel=1e-15) and got > 0
+            assert affine_metric(other, zero) == got
+            pair = Family(kind="hyperplanes", elements=np.array([zero, other]),
+                          delta=gap, dim=d)
+            assert min_separation(pair) == pytest.approx(want, rel=1e-15)
+        batch = affine_metric(zero, np.array([np.eye(d)[0] * gap, zero, np.full(d, 0.25)]))
+        assert batch[0] == gap and batch[1] == 0.0 and batch[2] > 0.25
+
+    @given(st.integers(2, 6), st.integers(0, 2**32 - 1), st.floats(-30, 0))
+    @settings(max_examples=60, deadline=None)
+    def test_normal_range_is_the_plain_fold(self, d, seed, log_gap):
+        """Where the sum of squares is normal, d_A is the plain left fold of
+        squared normal differences, bit for bit."""
+        rng = np.random.default_rng(seed)
+        c1 = rng.uniform(-1, 1, size=(20, d))
+        c2 = c1 + rng.uniform(-1, 1, size=(20, d)) * 10.0**log_gap
+        n1, n2 = unit_normal_norms(c1), unit_normal_norms(c2)
+        acc = (c1[:, 0] / n1 - c2[:, 0] / n2) ** 2
+        for i in range(1, d - 1):
+            acc = acc + (c1[:, i] / n1 - c2[:, i] / n2) ** 2
+        acc = acc + (1.0 / n2 - 1.0 / n1) ** 2
+        want = np.sqrt(acc) + np.abs(c1[:, -1] / n1 - c2[:, -1] / n2)
+        assert np.array_equal(affine_metric(c1, c2), want)
+
     @given(st.data(), st.integers(2, 6), st.sampled_from(["equal", "intercept", "any"]))
     @settings(max_examples=100, deadline=None)
     def test_embedding_distance_brackets_the_metric(self, data, d, relation):
@@ -142,10 +180,10 @@ class TestAffineMetric:
         (unit normal, normalised intercept) embeddings, within the relative
         CANDIDATE_MARGIN: the bound that `min_separation`'s and
         `construct_random`'s kd-tree candidate searches rest on."""
-        # below 1e-100 a squared difference can underflow, in affine_metric
-        # as anywhere, which says nothing about the bracket
+        # tiny and subnormal coordinates included: d_A rescales squares
+        # that underflow (`root_sum_squares`)
         def coord(bound):
-            return st.floats(-bound, bound).map(lambda v: v if abs(v) > 1e-100 else 0.0)
+            return st.floats(-bound, bound)
 
         def plane():
             return data.draw(st.lists(coord(1.0), min_size=d - 1, max_size=d - 1)) + [

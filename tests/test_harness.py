@@ -1,4 +1,6 @@
+import hashlib
 import json
+import pathlib
 
 import pytest
 
@@ -185,3 +187,19 @@ class TestSweep:
         d = result.to_dict(include_timings=False)
         assert len(d["rows"]) == 1
         assert d["failures"] == []
+
+
+def test_sharp_d3_report_matches_the_benchmark_reference():
+    """The d=3, delta=2^-6 report hashes to the digests that
+    `perfbench/reference.json` pins for the `sharp-d3-experiment` workload
+    (sha256 of the sorted-key JSON), so a report change fails here before
+    the benchmark counts every pass as failed."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+    pinned = json.loads(path.read_text())["full"]["sharp"]
+    report = run_experiment(ExperimentConfig(dim=3, delta=2.0**-6))
+
+    def digest(obj):
+        return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+    assert digest(report.to_dict(include_timings=False)) == pinned["experiment_digest"]
+    assert digest(report.incidence.to_dict()) == pinned["incidence_digest"]

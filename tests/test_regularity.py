@@ -250,7 +250,9 @@ class TestProfilePaths:
     def test_dense_limit_compares_the_allocated_grid(self, grid64, monkeypatch):
         # 64 x 64 points: at r = 1 (reach 64, clipped to 63) the FFT period is
         # next_fast_len(127) = 128 per axis, the largest of any scale; linear
-        # padding by the whole kernel would need (64 + 128)^2 cells
+        # padding by the whole kernel would need (64 + 128)^2 cells.  That
+        # scale is a full ball, so the shortcut is held off to reach the FFT.
+        _hold_full_ball_off(monkeypatch)
         tree_scales = []
         real = regularity._counts_tree
         monkeypatch.setattr(
@@ -281,6 +283,33 @@ class TestProfilePaths:
         monkeypatch.setattr("incgeom.regularity.TREE_LIMIT", 1)
         with pytest.raises(ValueError, match="too large"):
             regularity_constant(grid64, 1.0)
+
+    def test_refusal_comes_before_any_count(self, grid64, monkeypatch):
+        # r = 1 is a full ball and every other scale is refused: the plan
+        # raises before the first scale is counted
+        def refuse(*args, **kwargs):
+            raise AssertionError("counted before the plan was complete")
+
+        for name in ("_ball_counts", "_counts_tree"):
+            monkeypatch.setattr(f"incgeom.regularity.{name}", refuse)
+        monkeypatch.setattr("incgeom.regularity.DENSE_LIMIT", 1)
+        monkeypatch.setattr("incgeom.regularity.TREE_LIMIT", 1)
+        with pytest.raises(ValueError, match="too large .* r=0.015625"):
+            regularity_constant(grid64, 1.0)
+
+    @pytest.mark.parametrize("cells", [[[0, 0], [0, 1]], [[0, 0], [0, 1], [0, 2]],
+                                       [[5, 5, 5], [5, 6, 5]]])
+    def test_full_ball_scales_need_no_budget(self, cells, monkeypatch):
+        # tight clusters: every scale is a full ball, so limits of one cell
+        # refuse nothing; the three-cell line's ball is centred on its middle
+        fam = _points((np.array(cells) + 0.5) * DELTA)
+        want, _ = _reference_profile(fam)
+        for name in ("_ball_counts", "_counts_tree"):
+            monkeypatch.setattr(f"incgeom.regularity.{name}", None)
+        monkeypatch.setattr("incgeom.regularity.DENSE_LIMIT", 1)
+        monkeypatch.setattr("incgeom.regularity.TREE_LIMIT", 1)
+        _assert_same_profile(regularity._scale_profile(fam), want)
+        assert np.all(want[1] == len(cells))
 
 
 def _ball_kernel(ratio, dim, metric):
@@ -326,11 +355,17 @@ def _reference_profile(fam):
     return (radii, max_counts, first_idx[best], uniq.shape[0]), per_scale
 
 
+def _hold_full_ball_off(mp):
+    mp.setattr(regularity, "_full_ball_centre", lambda *args: None)
+
+
 def _profile_and_counts(fam):
-    """`_scale_profile(fam)` and the per-cell counts its dense path made at
-    each scale, recorded as the profile runs."""
+    """`_scale_profile(fam)` with the full-ball shortcut held off, and the
+    per-cell counts its dense path made at each scale, recorded as the
+    profile runs."""
     per_scale = []
     with pytest.MonkeyPatch.context() as mp:
+        _hold_full_ball_off(mp)
         for name in ("_box_counts", "_ball_counts"):
             real = getattr(regularity, name)
             mp.setattr(regularity, name,
@@ -339,14 +374,23 @@ def _profile_and_counts(fam):
     return profile, per_scale
 
 
-def _assert_matches_reference(fam):
-    (radii, max_counts, argmax, cover), counts = _profile_and_counts(fam)
-    (want_radii, want_max, want_argmax, want_cover), want_counts = _reference_profile(fam)
+def _assert_same_profile(got, want):
+    (radii, max_counts, argmax, cover), (want_radii, want_max, want_argmax, want_cover) = got, want
     assert np.array_equal(radii, want_radii)
     assert max_counts.dtype == argmax.dtype == np.int64
     assert np.array_equal(max_counts, want_max)
     assert np.array_equal(argmax, want_argmax)
     assert cover == want_cover
+
+
+def _assert_matches_reference(fam):
+    """Per-cell counts with the full-ball shortcut held off, and the profile
+    with it on, against the linear-FFT reference."""
+    profile, counts = _profile_and_counts(fam)
+    want, want_counts = _reference_profile(fam)
+    _assert_same_profile(profile, want)
+    _assert_same_profile(regularity._scale_profile(fam), want)
+    radii = profile[0]
     assert len(counts) == len(want_counts) == radii.size
     for got, want in zip(counts, want_counts):
         assert got.dtype == np.int64
@@ -449,6 +493,155 @@ def test_counts_equal_brute_force_pairs(cells):
             else:
                 within = np.max(np.abs(diff), axis=-1) <= math.floor(ratio + 1e-9)
             assert np.array_equal(got, within.sum(axis=1))
+
+
+def _shortcut_off_profile(fam):
+    with pytest.MonkeyPatch.context() as mp:
+        _hold_full_ball_off(mp)
+        return regularity._scale_profile(fam)
+
+
+def _lattice_ball(d, radius):
+    grid = np.stack(np.meshgrid(*[np.arange(-radius, radius + 1)] * d, indexing="ij"), -1)
+    grid = grid.reshape(-1, d)
+    return grid[np.sum(grid * grid, axis=1) <= radius * radius]
+
+
+_BALL_RADIUS = {2: 6, 3: 4, 4: 3}
+
+
+@st.composite
+def _shortcut_families(draw):
+    d = draw(st.integers(2, 4))
+    kind = draw(st.sampled_from(["scatter", "ball", "cluster"]))
+    if kind == "scatter":
+        # off-lattice points at a non-dyadic delta
+        delta = draw(st.floats(0.06, 0.4))
+        coords = draw(st.lists(st.tuples(*[st.floats(-0.4, 0.4)] * d), min_size=1, max_size=50))
+        return _points(np.array(coords) + 0.2, delta)
+    delta = draw(st.sampled_from([2.0**-3, 0.1, 2.0**-4]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    if kind == "ball":
+        # a thinned lattice ball that keeps its 2d axis tips, so the corners
+        # of its bounding box stay empty and many centres are undecided
+        radius = draw(st.integers(1, _BALL_RADIUS[d]))
+        cells = _lattice_ball(d, radius)
+        tips = np.max(np.abs(cells), axis=1) == radius
+        cells = cells[tips | (rng.random(len(cells)) < draw(st.floats(0.2, 1.0)))]
+    else:
+        # a tight cluster: at the larger scales several centres pass, a tie
+        width = draw(st.integers(1, 3))
+        cells = np.unique(rng.integers(0, width, size=(draw(st.integers(1, 12)), d)), axis=0)
+    return _points((cells + 0.5) * delta, delta)
+
+
+@given(fam=_shortcut_families())
+@settings(max_examples=120, deadline=None)
+def test_full_ball_shortcut_keeps_the_profile(fam):
+    _assert_same_profile(regularity._scale_profile(fam), _shortcut_off_profile(fam))
+
+
+@pytest.mark.parametrize("d,radius", [(2, 4), (3, 4), (4, 4)])
+def test_undecided_centre_falls_back_to_the_fft(d, radius):
+    # a whole lattice ball at delta = 1/8, r = 1 (ratio 8): the first cell,
+    # an axis tip, holds the ball, but only the box-corner bound of a later
+    # centre passes, and the diagonal bound cannot rule the tip out
+    delta = 2.0**-3
+    fam = _points((_lattice_ball(d, radius) + 0.5) * delta, delta)
+    offsets = regularity._occupied_cells(np.floor(fam.elements / delta).astype(np.int64))[0]
+    offsets -= offsets.min(axis=0)
+    shape = offsets.max(axis=0) + 1
+    corner2 = np.sum(np.maximum(offsets, shape - 1 - offsets) ** 2, axis=1)
+    assert np.any(corner2 <= 64) and corner2[0] > 64
+    assert regularity._full_ball_centre(offsets, corner2, 8.0) is None
+    got = regularity._scale_profile(fam)
+    _assert_same_profile(got, _reference_profile(fam)[0])
+    assert got[1][-1] == got[3] and got[2][-1] == 0
+
+
+def test_centre_on_its_ball_boundary_is_not_ruled_out():
+    # delta = 0.2, r = 1: ratio 5.  Cell (0, 0) holds every cell in its ball,
+    # the farthest, (3, 4), exactly on the sphere and the unique x + y
+    # extreme; so its lower bound equals 25 and rules nothing out, and the
+    # later (2, 2), whose box-corner bound passes, must not take the argmax
+    delta = 0.2
+    fam = _points((np.array([[0, 0], [2, 2], [3, 4], [4, 1]]) + 0.5) * delta, delta)
+    got = regularity._scale_profile(fam)
+    _assert_same_profile(got, _reference_profile(fam)[0])
+    assert got[1][-1] == 4 and got[2][-1] == 0
+
+
+@pytest.mark.parametrize("dims", [(1, 1), (5, 1), (4, 7), (6, 6), (2, 5, 3), (4, 4, 4), (3, 2, 4, 3)])
+def test_full_boxes_are_always_decided(dims):
+    # in a box with every cell occupied the diagonal extremes are the box
+    # corners, so the lower bound meets the upper one and the helper finds
+    # the first centre holding the ball whenever one exists
+    offsets = np.stack(np.meshgrid(*[np.arange(n) for n in dims], indexing="ij"), -1)
+    offsets = offsets.reshape(-1, len(dims))
+    far2 = np.sum((offsets[:, None, :] - offsets[None, :, :]) ** 2, axis=-1).max(axis=1)
+    corner2 = np.sum(np.maximum(offsets, np.array(dims) - 1 - offsets) ** 2, axis=1)
+    assert np.array_equal(corner2, far2)
+    for ratio in (1.0, 2.0, 2.5, 3.0, 4.0, 8.0):
+        passing = np.flatnonzero(far2 <= ratio * ratio)
+        want = int(passing[0]) if passing.size else None
+        assert regularity._full_ball_centre(offsets, corner2, ratio) == want
+
+
+def test_boxes_past_exact_squares_take_the_other_paths():
+    # delta = 2^-40: offsets reach 2^39, whose squares wrap in int64; the
+    # shortcut declines and the tree counts each cell alone at small scales
+    fam = _points([[0.0, 0.0], [0.5, 0.0], [0.5, 2.0**-40]], delta=2.0**-40)
+    got = regularity._scale_profile(fam)
+    _assert_same_profile(got, _shortcut_off_profile(fam))
+    assert list(got[1][:3]) == [2, 2, 2] and got[1][-1] == 3
+
+
+@given(d=st.integers(1, 6), data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_occupied_cells_equal_numpy_unique(d, data):
+    rows = data.draw(st.lists(st.tuples(*[st.integers(-3, 3)] * d), max_size=60))
+    cells = np.array(rows, dtype=np.int64).reshape(-1, d)
+    if len(cells):
+        repeat = data.draw(st.lists(st.integers(0, len(cells) - 1), max_size=20))
+        cells = np.vstack([cells, cells[repeat]])
+    cells = cells * data.draw(st.sampled_from([1, 2**40]))
+    uniq, first_idx = regularity._occupied_cells(cells)
+    want_uniq, want_idx = np.unique(cells, axis=0, return_index=True)
+    assert np.array_equal(uniq, want_uniq.reshape(-1, d))
+    assert np.array_equal(first_idx, want_idx)
+    assert uniq.dtype == np.int64
+
+
+def _brute_force_separation(pts):
+    best = math.inf
+    for i in range(len(pts) - 1):
+        diff = pts[i + 1:] - pts[i]
+        best = min(best, float(np.sqrt(np.sum(diff * diff, axis=1)).min()))
+    return best
+
+
+class TestPointSeparationMatchesScan:
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_lattice_points_with_ties(self, d, seed):
+        # points on the 1/8 lattice: most nearest-neighbour distances tie
+        rng = np.random.default_rng(seed)
+        pts = np.unique(rng.integers(-8, 9, size=(600, d)) / 8.0, axis=0)
+        assert min_separation(_points(pts)) == _brute_force_separation(pts) == 0.125
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_lattice_with_duplicates_and_a_close_pair(self, d):
+        pts = _lattice_ball(d, 4) / 8.0
+        assert min_separation(_points(pts)) == _brute_force_separation(pts)
+        close = np.vstack([pts, pts[3] + np.eye(d)[0] * 2.0**-20])
+        assert min_separation(_points(close)) == _brute_force_separation(close) == 2.0**-20
+        dup = np.vstack([pts, pts[5]])
+        assert min_separation(_points(dup)) == 0.0
+
+    def test_sharp_points(self):
+        points, _ = construct_sharp(ConstructionSpec(d=2, delta=2.0**-5, s=1.75, t=1.75))
+        assert min_separation(points) == _brute_force_separation(points.elements)
 
 
 class TestAffineMetricVariant:
