@@ -30,13 +30,23 @@ path:
   only when the first centre the upper bound passes comes after centres
   that the lower bound all rule out, so its argmax is the one a full count
   would pick;
-- FFT: other Euclidean scales are a circular FFT convolution.  With n
+- stencil: a Euclidean scale whose lattice ball is small against its FFT
+  grid is summed in exact integers.  The ball |o|^2 <= q, q =
+  floor(ratio^2), splits into columns along the last axis, one per offset
+  o' over the other axes with |o'|^2 <= q, of half-length h = isqrt(q -
+  |o'|^2): for an integer |o|^2 this is the FFT kernel's own test |o|^2 <=
+  ratio^2.  On a padded occupancy grid summed along its last axis, a
+  centre's count is the sum over columns of two prefix differences.  A
+  scale takes it when 3 * cover * columns <= P log2 P, P the scale's FFT
+  grid, and its padded grid fits DENSE_LIMIT as an FFT grid must;
+- FFT: the other Euclidean scales are a circular FFT convolution.  With n
   cells and c = min(reach, n - 1) on an axis, no two cells lie farther
   apart than n - 1, so a kernel clipped to |o| <= c loses nothing, and with
   period L >= n + c an offset past c wraps to at least L - (n - 1) > c, so
   no alias lands in a ball.  A count 0.25 or more from an integer raises;
-- tree: a scale whose table or FFT grid would exceed DENSE_LIMIT cells is
-  counted by a kd-tree, up to TREE_LIMIT occupied cells;
+- tree: a scale whose table or FFT grid would exceed DENSE_LIMIT cells, and
+  that takes no stencil, is counted by a kd-tree, up to TREE_LIMIT
+  occupied cells;
 - refusal: past both limits the profile raises ValueError.
 
 Hyperplane separation is exact at any size: embedded as (unit normal,
@@ -61,11 +71,19 @@ from .geometry import (CANDIDATE_MARGIN, affine_metric, code_coordinates, root_s
                        unit_normals)
 
 # Cells a dense count may allocate (the code-max summed-area table, or the
-# Euclidean FFT grid of one scale) and the fallback tree limit; past both,
-# exact profiles are refused rather than approximated.
+# Euclidean stencil or FFT grid of one scale) and the fallback tree limit;
+# past both, exact profiles are refused rather than approximated.  The
+# stencil's int32 sums and float64 square roots are exact below 2^27 cells.
 DENSE_LIMIT = 64_000_000
 TREE_LIMIT = 60_000
 AFFINE_LIMIT = 4_000
+# A Euclidean scale takes the column stencil when _STENCIL_WEIGHT * cover *
+# columns <= P log2 P, P its FFT grid: two gathers per column and centre
+# against one transform pass over the grid (CHANGES.md has the timings).
+_STENCIL_WEIGHT = 3
+# A stencil count over fewer centres than _GATHER_BLOCK / 2 gathers blocks
+# of _GATHER_BLOCK // centres columns at once; otherwise one column at a time.
+_GATHER_BLOCK = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -121,6 +139,8 @@ def covering_number(fam: Family, rho) -> int:
 def min_separation(fam: Family) -> float:
     """Minimum pairwise distance: Euclidean for points, affine metric for
     hyperplanes.  Returns +inf for families with fewer than two elements.
+    Point pairs whose squared distance underflows to 0 are measured again
+    with `geometry.root_sum_squares`, so distinct points stay apart.
     Planes embed as (unit normal, normalised intercept) vectors x, and
     sqrt(a^2 + b^2) <= a + b <= sqrt(2 (a^2 + b^2)) gives |x - x'| <= d_A <=
     sqrt(2) |x - x'|: the pairs within sqrt(2) times the least embedded
@@ -134,7 +154,13 @@ def min_separation(fam: Family) -> float:
         # faster on lattice families; the distances are the same
         tree = cKDTree(fam.elements, balanced_tree=False, compact_nodes=False)
         dist, _ = tree.query(fam.elements, k=2, workers=-1)
-        return float(dist[:, 1].min())
+        least = float(dist[:, 1].min())
+        if least > 0.0:
+            return least
+        # squared distances can underflow to 0: measure those pairs again
+        i, j = tree.query_pairs(0.0, output_type="ndarray").T
+        diff = fam.elements[i] - fam.elements[j]
+        return float(root_sum_squares(np.sum(diff * diff, axis=-1), lambda: diff).min())
     normals, verts = unit_normals(fam.elements)
     tree = cKDTree(np.column_stack([normals, verts]))
     dist, _ = tree.query(tree.data, k=2, workers=-1)
@@ -175,15 +201,88 @@ def _ball_counts(offsets, ratio, clip, period):
     at least n_k + clip_k per axis keeps aliases out (module docstring)."""
     axes = [np.arange(-c, c + 1) for c in clip]
     dist2 = sum(np.ix_(*[a.astype(np.float64) ** 2 for a in axes]))
-    kernel = np.zeros(period)
-    kernel[np.ix_(*[a % n for a, n in zip(axes, period)])] = dist2 <= ratio * ratio
-    occupancy = np.zeros(period)
-    occupancy[tuple(offsets.T)] = 1.0
-    vals = irfftn(rfftn(occupancy) * rfftn(kernel), period)[tuple(offsets.T)]
+    # one grid holds the occupancy, then the kernel: three grids live at once
+    grid = np.zeros(period)
+    grid[tuple(offsets.T)] = 1.0
+    spectrum = rfftn(grid)
+    grid.fill(0.0)
+    grid[np.ix_(*[a % n for a, n in zip(axes, period)])] = dist2 <= ratio * ratio
+    spectrum *= rfftn(grid)
+    del grid
+    vals = irfftn(spectrum, period)[tuple(offsets.T)]
     counts = np.rint(vals)
     if np.any(np.abs(vals - counts) >= 0.25):
         raise FloatingPointError("FFT ball counts are not within 0.25 of integers")
-    return np.maximum(counts.astype(np.int64), 1)
+    return counts.astype(np.int64)
+
+
+def _isqrt(x):
+    """floor(sqrt(x)) of int64 values in [0, 2^52), exactly: such an x is
+    exact in float64, and its correctly rounded root lies in [k, k + 1)
+    when x lies in [k^2, (k + 1)^2)."""
+    return np.sqrt(x.astype(np.float64)).astype(np.int64)
+
+
+def _ball_columns(q, clip, limit):
+    """The lattice ball |o|^2 <= q clipped to |o_k| <= clip_k, as columns
+    along the last axis: an (m, d - 1) array of offsets o' over the other
+    axes, and each column's half-length min(isqrt(q - |o'|^2), clip_d).
+    None, before the columns are built, when m would exceed `limit`.  Axis
+    by axis, each partial offset extends by every o_k with o_k^2 within the
+    rest of q, so no partial offset is built that holds no column.  Clips
+    stay below 2^26, as the grids they pad do."""
+    cols = np.zeros((1, 0), dtype=np.int64)
+    rest = np.array([q], dtype=np.int64)
+    for c in clip[:-1]:
+        reach = _isqrt(np.minimum(rest, c * c))
+        width = 2 * reach + 1
+        if width.sum() > limit:
+            return None
+        row = np.repeat(np.arange(len(cols)), width)
+        o = np.arange(row.size) - np.repeat(np.cumsum(width) - width + reach, width)
+        cols = np.column_stack([cols[row], o])
+        rest = rest[row] - o * o
+    return cols, _isqrt(np.minimum(rest, clip[-1] * clip[-1]))
+
+
+def _prefix_grid(offsets, shape, pad):
+    """The occupancy summed along the last axis, in int32, on a grid padded
+    by `pad` on every side and by one more below on the last axis; and the
+    occupied cells' index rows in it.  Every stencil reaching at most `pad`
+    then reads inside the grid."""
+    lead = pad + np.eye(len(pad), dtype=np.int64)[-1]
+    prefix = np.zeros(tuple(shape + pad + lead), dtype=np.int32)
+    centres = offsets + lead
+    prefix[tuple(centres.T)] = 1
+    np.cumsum(prefix, axis=-1, out=prefix)
+    return prefix, centres
+
+
+def _stencil_counts(prefix, centres, cols, halves):
+    """Euclidean ball counts by columns (module docstring): at centre (b',
+    b) each column o' of half-length h adds prefix[b' + o', b + h] -
+    prefix[b' + o', b - h - 1].  A count never exceeds the cover, and the
+    prefix values of any set of columns add up to at most the grid size, so
+    running sums stay exact in int32 on grids within DENSE_LIMIT < 2^30."""
+    strides = np.array(prefix.strides) // prefix.itemsize
+    flat = prefix.reshape(-1)
+    top = cols @ strides[:-1] + halves
+    below = top - 2 * halves - 1
+    # shift the flat indices so that every column's reads start at a view
+    low = int(below.min())
+    top, below, base = top - low, below - low, centres @ strides + low
+    counts = np.zeros(len(centres), dtype=np.int32)
+    block = _GATHER_BLOCK // len(centres)
+    if block > 1:
+        # few centres: gather a block of columns at a time
+        for i in range(0, len(top), block):
+            counts += flat[top[i:i + block, None] + base].sum(axis=0, dtype=np.int32)
+            counts -= flat[below[i:i + block, None] + base].sum(axis=0, dtype=np.int32)
+    else:
+        for t, b in zip(top, below):
+            counts += flat[t:].take(base)
+            counts -= flat[b:].take(base)
+    return counts.astype(np.int64)
 
 
 def _counts_tree(tree, ratio, metric):
@@ -223,9 +322,14 @@ def _scale_profile(fam: Family):
     Every scale's path is planned before anything is counted (module
     docstring): the summed-area table for code-max balls; for Euclidean
     balls the full-ball shortcut where `_full_ball_centre` finds a centre,
-    else the circular FFT; a kd-tree for a scale whose table or FFT grid
-    would exceed DENSE_LIMIT cells; and a ValueError, raised before any
-    count, when that tree would exceed TREE_LIMIT cells."""
+    else the column stencil where its grid fits DENSE_LIMIT and
+    _STENCIL_WEIGHT * cover * columns <= P log2 P, P the cells of the
+    scale's FFT grid, else the circular FFT; a kd-tree for a scale whose
+    table or FFT grid would exceed DENSE_LIMIT cells; and a ValueError,
+    raised before any count, when that tree would exceed TREE_LIMIT cells.
+    The stencil's columns hold exactly the offsets with |o|^2 <=
+    floor(ratio^2), the FFT kernel's cells, and its scales share one
+    prefix grid, padded for the largest of them."""
     if len(fam) == 0:
         raise ValueError("regularity profile of an empty family")
     delta = fam.delta
@@ -243,6 +347,7 @@ def _scale_profile(fam: Family):
         # each centre's squared distance to its farthest box corner, the
         # shortcut's upper bound; past 2^53 squares are not exact in float64
         corner2 = np.sum(np.maximum(offsets, shape - 1 - offsets) ** 2, axis=1)
+    last = np.eye(fam.dim, dtype=np.int64)[-1]
     plan = []
     for r in radii:
         ratio = r / delta
@@ -256,7 +361,16 @@ def _scale_profile(fam: Family):
                 continue
             clip = np.minimum(reach, shape - 1)
             period = [next_fast_len(int(n + c)) for n, c in zip(shape, clip)]
-            step, dense = ("fft", ratio, clip, period), math.prod(period)
+            fft_cells = math.prod(period)
+            step, dense = ("fft", ratio, clip, period), fft_cells
+            stencil_cells = math.prod(shape + 2 * clip + last)
+            if stencil_cells <= DENSE_LIMIT:
+                # past sum(clip^2), q admits every clipped offset alike
+                q = math.floor(min(ratio * ratio, int(np.sum(clip * clip))))
+                budget = fft_cells * math.log2(fft_cells) / (_STENCIL_WEIGHT * cover)
+                columns = _ball_columns(q, clip, budget)
+                if columns is not None:
+                    step, dense = ("stencil", clip, *columns), stencil_cells
         if dense <= DENSE_LIMIT:
             plan.append(step)
         elif cover <= TREE_LIMIT:
@@ -268,12 +382,16 @@ def _scale_profile(fam: Family):
                 f"cells, over DENSE_LIMIT={DENSE_LIMIT})"
             )
 
-    table = tree = None
+    table = tree = prefix = None
     if plan[0][0] == "table":
         table = np.zeros(tuple(shape + 1), dtype=np.int64)
         table[tuple((offsets + 1).T)] = 1
         for k in range(fam.dim):
             table = np.cumsum(table, axis=k)
+    stencils = sum(path == "stencil" for path, *_ in plan)
+    if stencils:
+        pad = np.max([clip for path, clip, *_ in plan if path == "stencil"], axis=0)
+        prefix, centres = _prefix_grid(offsets, shape, pad)
     max_counts = np.empty(radii.size, dtype=np.int64)
     argmax_elem = np.empty(radii.size, dtype=np.int64)
     for j, (path, *args) in enumerate(plan):
@@ -282,6 +400,12 @@ def _scale_profile(fam: Family):
             continue
         if path == "table":
             counts = _box_counts(table, offsets, *args)
+        elif path == "stencil":
+            counts = _stencil_counts(prefix, centres, *args[1:])
+            stencils -= 1
+            if not stencils:
+                # free the grid before the larger scales' transforms
+                prefix = centres = None
         elif path == "fft":
             counts = _ball_counts(offsets, *args)
         else:

@@ -137,23 +137,26 @@ class TestAffineMetric:
             if not np.array_equal(p1, p2):
                 assert affine_metric(p1, p2) > 0
 
-    @pytest.mark.parametrize("gap", [1e-200, 2.9e-284])
+    @pytest.mark.parametrize("gap", [1e-150, 1e-200, 2.9e-284])
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_tiny_gaps_stay_positive(self, gap, d):
-        """Gaps whose squares underflow: a slope gap between planes through
-        the origin (|normal difference| = gap), the same gap on every slope
-        (sqrt(d - 1) gap), and an intercept gap.  `min_separation` of each
-        pair agrees."""
+        """Gaps whose squares underflow (below about 1e-154): a slope gap
+        between planes through the origin (|normal difference| = gap), the
+        same gap on every slope (sqrt(d - 1) gap), and an intercept gap.
+        `min_separation` of each pair agrees, and so does that of the two
+        points with these coordinates, whose distance is the same."""
         zero = np.zeros(d)
         for other, want in ((np.eye(d)[0] * gap, gap),
                             (np.append(np.full(d - 1, gap), 0.0), math.sqrt(d - 1) * gap),
                             (np.eye(d)[-1] * gap, gap)):
             got = float(affine_metric(zero, other))
-            assert got == pytest.approx(want, rel=1e-15) and got > 0
+            assert got == pytest.approx(want, rel=1e-15, abs=0) and got > 0
             assert affine_metric(other, zero) == got
             pair = Family(kind="hyperplanes", elements=np.array([zero, other]),
                           delta=gap, dim=d)
-            assert min_separation(pair) == pytest.approx(want, rel=1e-15)
+            assert min_separation(pair) == pytest.approx(want, rel=1e-15, abs=0)
+            points = Family(kind="points", elements=np.array([zero, other]), delta=gap, dim=d)
+            assert min_separation(points) == pytest.approx(want, rel=1e-15, abs=0)
         batch = affine_metric(zero, np.array([np.eye(d)[0] * gap, zero, np.full(d, 0.25)]))
         assert batch[0] == gap and batch[1] == 0.0 and batch[2] > 0.25
 

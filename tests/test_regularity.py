@@ -238,7 +238,9 @@ class TestProfilePaths:
         def refuse(*args, **kwargs):
             raise AssertionError("FFT called on the code-max path")
 
-        fam = construct_random("hyperplanes", 3, 2.0**-4, 200, seed=5)
+        # dense enough that the same cells read as points take the FFT at
+        # their largest non-full scale, so the control below meets it
+        fam = construct_random("hyperplanes", 3, 2.0**-4, 2000, seed=5)
         want = regularity_constant(fam, 1.5)
         for name in ("rfftn", "irfftn", "fftconvolve"):
             monkeypatch.setattr(f"incgeom.regularity.{name}", refuse)
@@ -290,7 +292,7 @@ class TestProfilePaths:
         def refuse(*args, **kwargs):
             raise AssertionError("counted before the plan was complete")
 
-        for name in ("_ball_counts", "_counts_tree"):
+        for name in ("_stencil_counts", "_ball_counts", "_counts_tree"):
             monkeypatch.setattr(f"incgeom.regularity.{name}", refuse)
         monkeypatch.setattr("incgeom.regularity.DENSE_LIMIT", 1)
         monkeypatch.setattr("incgeom.regularity.TREE_LIMIT", 1)
@@ -304,7 +306,7 @@ class TestProfilePaths:
         # refuse nothing; the three-cell line's ball is centred on its middle
         fam = _points((np.array(cells) + 0.5) * DELTA)
         want, _ = _reference_profile(fam)
-        for name in ("_ball_counts", "_counts_tree"):
+        for name in ("_stencil_counts", "_ball_counts", "_counts_tree"):
             monkeypatch.setattr(f"incgeom.regularity.{name}", None)
         monkeypatch.setattr("incgeom.regularity.DENSE_LIMIT", 1)
         monkeypatch.setattr("incgeom.regularity.TREE_LIMIT", 1)
@@ -359,17 +361,27 @@ def _hold_full_ball_off(mp):
     mp.setattr(regularity, "_full_ball_centre", lambda *args: None)
 
 
-def _profile_and_counts(fam):
+_COUNTING_PATHS = {"_box_counts": "table", "_stencil_counts": "stencil", "_ball_counts": "fft",
+                   "_counts_tree": "tree"}
+
+
+def _profile_and_counts(fam, paths=None):
     """`_scale_profile(fam)` with the full-ball shortcut held off, and the
-    per-cell counts its dense path made at each scale, recorded as the
-    profile runs."""
+    per-cell counts each scale's path made, recorded as the profile runs;
+    the path of each scale is appended to `paths`."""
     per_scale = []
+    paths = [] if paths is None else paths
     with pytest.MonkeyPatch.context() as mp:
         _hold_full_ball_off(mp)
-        for name in ("_box_counts", "_ball_counts"):
+        for name, path in _COUNTING_PATHS.items():
             real = getattr(regularity, name)
-            mp.setattr(regularity, name,
-                       lambda *a, _real=real: per_scale.append(_real(*a)) or per_scale[-1])
+
+            def record(*args, _real=real, _path=path):
+                per_scale.append(_real(*args))
+                paths.append(_path)
+                return per_scale[-1]
+
+            mp.setattr(regularity, name, record)
         profile = regularity._scale_profile(fam)
     return profile, per_scale
 
@@ -493,6 +505,152 @@ def test_counts_equal_brute_force_pairs(cells):
             else:
                 within = np.max(np.abs(diff), axis=-1) <= math.floor(ratio + 1e-9)
             assert np.array_equal(got, within.sum(axis=1))
+
+
+def _brute_force_counts(offsets, ratio):
+    diff = offsets[:, None, :] - offsets[None, :, :]
+    return np.sum(np.sum(diff * diff, axis=-1) <= ratio * ratio, axis=1)
+
+
+def _stencil(offsets, ratio, gather_block=None):
+    """Ball counts of lattice cells by the column stencil alone, at any ratio."""
+    shape = offsets.max(axis=0) + 1
+    clip = np.minimum(int(math.floor(ratio + 1e-9)), shape - 1)
+    q = math.floor(min(ratio * ratio, int(np.sum(clip * clip))))
+    cols, halves = regularity._ball_columns(q, clip, math.inf)
+    prefix, centres = regularity._prefix_grid(offsets, shape, clip)
+    with pytest.MonkeyPatch.context() as mp:
+        if gather_block is not None:
+            mp.setattr(regularity, "_GATHER_BLOCK", gather_block)
+        return regularity._stencil_counts(prefix, centres, cols, halves)
+
+
+# ratios whose square is one ulp below an integer: 1 / delta for these
+# deltas, so a profile reaches them at r = 1
+_ULP_BELOW = {9: 0.33333333333333337, 26: 0.19611613513818404, 36: 0.16666666666666669}
+
+
+def test_isqrt_is_exact_below_two_to_the_52():
+    # stencil clips stay below DENSE_LIMIT / 2 <= 2^26, so their squares
+    # stay below 2^52
+    assert regularity.DENSE_LIMIT <= 2**27
+    roots = np.concatenate([np.arange(3000), np.random.default_rng(0).integers(0, 2**26, 3000),
+                            [2**26 - 1]])
+    x = np.concatenate([roots * roots, roots * roots + 1, (roots + 1) * (roots + 1) - 1])
+    x = x[x < 2**52]
+    assert np.array_equal(regularity._isqrt(x), [math.isqrt(int(v)) for v in x])
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("ratio", [1.0, 1.5, 2.0, 2.5, 4.0, 5.0, 7.9]
+                         + [1.0 / delta for delta in _ULP_BELOW.values()])
+def test_ball_columns_are_the_fft_kernel(d, ratio):
+    # the columns, unrolled, are the clipped kernel's `dist2 <= ratio * ratio`
+    # cells, with the clip at the reach and below it on some axes
+    reach = int(math.floor(ratio + 1e-9))
+    for clip in (np.full(d, reach), np.minimum(reach, np.arange(d) + 2)):
+        axes = np.meshgrid(*[np.arange(-c, c + 1) for c in clip], indexing="ij")
+        cells = np.stack(axes, -1).reshape(-1, d)
+        dist2 = np.sum(cells.astype(np.float64) ** 2, axis=1)
+        want = {tuple(o) for o in cells[dist2 <= ratio * ratio]}
+        q = math.floor(min(ratio * ratio, int(np.sum(clip * clip))))
+        cols, halves = regularity._ball_columns(q, clip, math.inf)
+        assert cols.dtype == halves.dtype == np.int64
+        got = [(*o, h) for o, hh in zip(cols, halves) for h in range(-hh, hh + 1)]
+        assert len(got) == len(want) and set(got) == want
+        assert regularity._ball_columns(q, clip, len(cols)) is not None
+        assert regularity._ball_columns(q, clip, len(cols) - 1) is None
+
+
+def _random_cells(d, n, width, seed):
+    cells = np.random.default_rng(seed).integers(0, width, size=(n, d))
+    return regularity._occupied_cells(cells)[0]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_stencil_counts_equal_brute_force(d):
+    # hollow cubes and scattered cells, through both gather loops (blocks of
+    # columns for few centres, one column at a time otherwise)
+    hollow = np.round(_hollow_cube(d, {2: 30, 3: 10, 4: 5}[d], 1.0)).astype(np.int64)
+    scatter = _random_cells(d, 300, 12, seed=d)
+    ratios = [1.0, 2.0, 3.0, 4.0, 5.0] + [1.0 / delta for delta in _ULP_BELOW.values()]
+    for offsets in (regularity._occupied_cells(hollow)[0], scatter):
+        for ratio in ratios:
+            want = _brute_force_counts(offsets, ratio)
+            for block in (1, 4 * len(offsets), 2**20):
+                got = _stencil(offsets, ratio, gather_block=block)
+                assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
+def _profile_paths(fam):
+    paths = []
+    profile, counts = _profile_and_counts(fam, paths)
+    return profile, counts, paths
+
+
+def test_cells_on_the_ball_boundary():
+    # delta = 0.2: the last ratio is 1.0 / 0.2 = 5.0 exactly, and cells
+    # (3, 4, 0), (0, 0, 5), (0, 3, 4) lie on the origin's sphere, while
+    # (1, 0, 5) and (3, 4, 1) lie just outside it
+    delta = 0.2
+    assert 1.0 / delta == 5.0
+    cells = np.array([[0, 0, 0], [3, 4, 0], [0, 0, 5], [0, 3, 4], [-5, 0, 0],
+                      [1, 0, 5], [3, 4, 1], [2, 2, 2], [-3, 0, -4], [0, -4, 3]])
+    fam = _points((cells + 0.5) * delta, delta)
+    (radii, _, _, _), counts, paths = _profile_paths(fam)
+    assert radii[-1] / delta == 5.0 and paths[-1] == "stencil"
+    offsets = regularity._occupied_cells(cells)[0]
+    for r, got in zip(radii, counts):
+        assert np.array_equal(got, _brute_force_counts(offsets, r / delta))
+    origin = int(np.flatnonzero(np.all(offsets == 0, axis=1))[0])
+    assert counts[-1][origin] == 8
+
+
+@pytest.mark.parametrize("k", sorted(_ULP_BELOW))
+def test_ratio_one_ulp_below_an_integer(k):
+    # at r = 1 the ratio's square is one ulp below k: a cell at squared
+    # distance k is out of the ball, one at k - 1 is in
+    delta = _ULP_BELOW[k]
+    assert (1.0 / delta) * (1.0 / delta) == np.nextafter(float(k), 0.0)
+    offsets = _random_cells(3, 150, 2 * math.isqrt(k) + 3, seed=k)
+    fam = _points((offsets + 0.5) * delta, delta)
+    (radii, _, _, _), counts, paths = _profile_paths(fam)
+    assert radii[-1] == 1.0 and paths[-1] == "stencil"
+    diff = offsets[:, None, :] - offsets[None, :, :]
+    assert np.any(np.sum(diff * diff, axis=-1) == k)
+    for r, got in zip(radii, counts):
+        assert np.array_equal(got, _brute_force_counts(offsets, r / delta))
+    _assert_same_profile(regularity._scale_profile(fam), _reference_profile(fam)[0])
+
+
+def test_sharp_profile_mixes_stencil_and_fft(monkeypatch):
+    # d = 3, delta = 2^-6: the small scales take the stencil, the larger ones
+    # the FFT, and the profile is the FFT-only one with the rule held off
+    points, _ = construct_sharp(ConstructionSpec(d=3, delta=2.0**-6, s=1.75, t=1.75))
+    _, _, paths = _profile_paths(points)
+    assert paths == ["stencil"] * 3 + ["fft"] * 4
+    got = regularity._scale_profile(points)
+    monkeypatch.setattr(regularity, "_STENCIL_WEIGHT", math.inf)
+    assert _profile_paths(points)[2] == ["fft"] * 7
+    _assert_same_profile(got, regularity._scale_profile(points))
+
+
+def test_dense_limit_compares_the_stencil_grid(monkeypatch):
+    # the largest stencil scale's padded grid is the one the profile
+    # allocates; one cell less and that scale takes the FFT instead
+    fam = construct_random("points", 3, 2.0**-5, 2000, seed=3)
+    profile, _, paths = _profile_paths(fam)
+    j = max(k for k, path in enumerate(paths) if path == "stencil")
+    offsets = regularity._occupied_cells(np.floor(fam.elements / fam.delta).astype(np.int64))[0]
+    shape = np.ptp(offsets, axis=0) + 1
+    clip = np.minimum(2**j, shape - 1)
+    grid = int(np.prod(shape + 2 * clip + np.eye(3, dtype=np.int64)[-1]))
+    monkeypatch.setattr(regularity, "DENSE_LIMIT", grid)
+    assert _profile_paths(fam)[2][:j + 1] == paths[:j + 1]
+    monkeypatch.setattr(regularity, "DENSE_LIMIT", grid - 1)
+    got, _, fewer = _profile_paths(fam)
+    assert fewer[:j] == paths[:j] and fewer[j] == "fft"
+    _assert_same_profile(got, profile)
 
 
 def _shortcut_off_profile(fam):
@@ -642,6 +800,24 @@ class TestPointSeparationMatchesScan:
     def test_sharp_points(self):
         points, _ = construct_sharp(ConstructionSpec(d=2, delta=2.0**-5, s=1.75, t=1.75))
         assert min_separation(points) == _brute_force_separation(points.elements)
+
+    def test_positive_minimum_measures_nothing_again(self, monkeypatch):
+        # only a zero kd-tree minimum sends pairs to `root_sum_squares`
+        def refuse(*args):
+            raise AssertionError("pairs measured again")
+
+        monkeypatch.setattr("incgeom.regularity.root_sum_squares", refuse)
+        pts = _lattice_ball(3, 4) / 8.0
+        assert min_separation(_points(pts)) == 0.125
+        with pytest.raises(AssertionError, match="measured again"):
+            min_separation(_points(np.vstack([pts, pts[5]])))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_duplicates_beside_an_underflowing_pair(self, d):
+        # a pair 1e-200 apart is positive until an exact duplicate joins it
+        pts = np.vstack([_lattice_ball(d, 2) / 8.0, np.eye(d)[0] * 1e-200])
+        assert min_separation(_points(pts)) == 1e-200
+        assert min_separation(_points(np.vstack([pts, pts[3]]))) == 0.0
 
 
 class TestAffineMetricVariant:
