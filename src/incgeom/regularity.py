@@ -37,16 +37,17 @@ path:
   |o'|^2): for an integer |o|^2 this is the FFT kernel's own test |o|^2 <=
   ratio^2.  On a padded occupancy grid summed along its last axis, a
   centre's count is the sum over columns of two prefix differences.  A
-  scale takes it when 3 * cover * columns <= P log2 P, P the scale's FFT
-  grid, and its padded grid fits DENSE_LIMIT as an FFT grid must;
+  scale takes it when 3 * (cover + 1000) * columns <= P log2 P, P the
+  scale's FFT grid, and both that grid and its own padded grid fit
+  DENSE_LIMIT;
 - FFT: the other Euclidean scales are a circular FFT convolution.  With n
   cells and c = min(reach, n - 1) on an axis, no two cells lie farther
   apart than n - 1, so a kernel clipped to |o| <= c loses nothing, and with
   period L >= n + c an offset past c wraps to at least L - (n - 1) > c, so
-  no alias lands in a ball.  A count 0.25 or more from an integer raises;
-- tree: a scale whose table or FFT grid would exceed DENSE_LIMIT cells, and
-  that takes no stencil, is counted by a kd-tree, up to TREE_LIMIT
-  occupied cells;
+  no alias lands in a ball.  A count 0.25 or more from an integer raises,
+  and so does one that rounds below 1, since a ball holds its own centre;
+- tree: a scale whose table or FFT grid would exceed DENSE_LIMIT cells is
+  counted by a kd-tree, up to TREE_LIMIT occupied cells;
 - refusal: past both limits the profile raises ValueError.
 
 Hyperplane separation is exact at any size: embedded as (unit normal,
@@ -77,13 +78,13 @@ from .geometry import (CANDIDATE_MARGIN, affine_metric, code_coordinates, root_s
 DENSE_LIMIT = 64_000_000
 TREE_LIMIT = 60_000
 AFFINE_LIMIT = 4_000
-# A Euclidean scale takes the column stencil when _STENCIL_WEIGHT * cover *
-# columns <= P log2 P, P its FFT grid: two gathers per column and centre
-# against one transform pass over the grid (CHANGES.md has the timings).
+# A Euclidean scale takes the column stencil when _STENCIL_WEIGHT * (cover
+# + _COLUMN_COST) * columns <= P log2 P, P its FFT grid: two gathers per
+# column and centre against one transform pass over the grid, where one
+# column's loop step costs as much as _COLUMN_COST centres' gathers (about
+# 3 us against 3 ns; CHANGES.md has the timings).
 _STENCIL_WEIGHT = 3
-# A stencil count over fewer centres than _GATHER_BLOCK / 2 gathers blocks
-# of _GATHER_BLOCK // centres columns at once; otherwise one column at a time.
-_GATHER_BLOCK = 1 << 10
+_COLUMN_COST = 1000
 
 
 @dataclass(frozen=True)
@@ -211,8 +212,10 @@ def _ball_counts(offsets, ratio, clip, period):
     del grid
     vals = irfftn(spectrum, period)[tuple(offsets.T)]
     counts = np.rint(vals)
-    if np.any(np.abs(vals - counts) >= 0.25):
-        raise FloatingPointError("FFT ball counts are not within 0.25 of integers")
+    # the guard sees drift to mid-integer only; a ball holds its own centre,
+    # so a count rounded below 1 is wrong by more than 0.5 and raises too
+    if np.any(np.abs(vals - counts) >= 0.25) or np.any(counts < 1):
+        raise FloatingPointError("FFT ball counts are not within 0.25 of positive integers")
     return counts.astype(np.int64)
 
 
@@ -272,16 +275,9 @@ def _stencil_counts(prefix, centres, cols, halves):
     low = int(below.min())
     top, below, base = top - low, below - low, centres @ strides + low
     counts = np.zeros(len(centres), dtype=np.int32)
-    block = _GATHER_BLOCK // len(centres)
-    if block > 1:
-        # few centres: gather a block of columns at a time
-        for i in range(0, len(top), block):
-            counts += flat[top[i:i + block, None] + base].sum(axis=0, dtype=np.int32)
-            counts -= flat[below[i:i + block, None] + base].sum(axis=0, dtype=np.int32)
-    else:
-        for t, b in zip(top, below):
-            counts += flat[t:].take(base)
-            counts -= flat[b:].take(base)
+    for t, b in zip(top, below):
+        counts += flat[t:].take(base)
+        counts -= flat[b:].take(base)
     return counts.astype(np.int64)
 
 
@@ -322,9 +318,9 @@ def _scale_profile(fam: Family):
     Every scale's path is planned before anything is counted (module
     docstring): the summed-area table for code-max balls; for Euclidean
     balls the full-ball shortcut where `_full_ball_centre` finds a centre,
-    else the column stencil where its grid fits DENSE_LIMIT and
-    _STENCIL_WEIGHT * cover * columns <= P log2 P, P the cells of the
-    scale's FFT grid, else the circular FFT; a kd-tree for a scale whose
+    else the column stencil where its grid and the scale's FFT grid, of P
+    cells, fit DENSE_LIMIT and _STENCIL_WEIGHT * (cover + _COLUMN_COST) *
+    columns <= P log2 P, else the circular FFT; a kd-tree for a scale whose
     table or FFT grid would exceed DENSE_LIMIT cells; and a ValueError,
     raised before any count, when that tree would exceed TREE_LIMIT cells.
     The stencil's columns hold exactly the offsets with |o|^2 <=
@@ -364,10 +360,11 @@ def _scale_profile(fam: Family):
             fft_cells = math.prod(period)
             step, dense = ("fft", ratio, clip, period), fft_cells
             stencil_cells = math.prod(shape + 2 * clip + last)
-            if stencil_cells <= DENSE_LIMIT:
+            if max(fft_cells, stencil_cells) <= DENSE_LIMIT:
                 # past sum(clip^2), q admits every clipped offset alike
                 q = math.floor(min(ratio * ratio, int(np.sum(clip * clip))))
-                budget = fft_cells * math.log2(fft_cells) / (_STENCIL_WEIGHT * cover)
+                budget = (fft_cells * math.log2(fft_cells)
+                          / (_STENCIL_WEIGHT * (cover + _COLUMN_COST)))
                 columns = _ball_columns(q, clip, budget)
                 if columns is not None:
                     step, dense = ("stencil", clip, *columns), stencil_cells

@@ -512,17 +512,14 @@ def _brute_force_counts(offsets, ratio):
     return np.sum(np.sum(diff * diff, axis=-1) <= ratio * ratio, axis=1)
 
 
-def _stencil(offsets, ratio, gather_block=None):
+def _stencil(offsets, ratio):
     """Ball counts of lattice cells by the column stencil alone, at any ratio."""
     shape = offsets.max(axis=0) + 1
     clip = np.minimum(int(math.floor(ratio + 1e-9)), shape - 1)
     q = math.floor(min(ratio * ratio, int(np.sum(clip * clip))))
     cols, halves = regularity._ball_columns(q, clip, math.inf)
     prefix, centres = regularity._prefix_grid(offsets, shape, clip)
-    with pytest.MonkeyPatch.context() as mp:
-        if gather_block is not None:
-            mp.setattr(regularity, "_GATHER_BLOCK", gather_block)
-        return regularity._stencil_counts(prefix, centres, cols, halves)
+    return regularity._stencil_counts(prefix, centres, cols, halves)
 
 
 # ratios whose square is one ulp below an integer: 1 / delta for these
@@ -569,17 +566,15 @@ def _random_cells(d, n, width, seed):
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_stencil_counts_equal_brute_force(d):
-    # hollow cubes and scattered cells, through both gather loops (blocks of
-    # columns for few centres, one column at a time otherwise)
+    # hollow cubes and scattered cells
     hollow = np.round(_hollow_cube(d, {2: 30, 3: 10, 4: 5}[d], 1.0)).astype(np.int64)
     scatter = _random_cells(d, 300, 12, seed=d)
     ratios = [1.0, 2.0, 3.0, 4.0, 5.0] + [1.0 / delta for delta in _ULP_BELOW.values()]
     for offsets in (regularity._occupied_cells(hollow)[0], scatter):
         for ratio in ratios:
-            want = _brute_force_counts(offsets, ratio)
-            for block in (1, 4 * len(offsets), 2**20):
-                got = _stencil(offsets, ratio, gather_block=block)
-                assert got.dtype == np.int64 and np.array_equal(got, want)
+            got = _stencil(offsets, ratio)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, _brute_force_counts(offsets, ratio))
 
 
 def _profile_paths(fam):
@@ -588,7 +583,13 @@ def _profile_paths(fam):
     return profile, counts, paths
 
 
-def test_cells_on_the_ball_boundary():
+def _force_stencil(monkeypatch):
+    # a family this small takes the FFT; with almost no weight on the
+    # stencil's cost every scale whose grids fit takes the stencil
+    monkeypatch.setattr(regularity, "_STENCIL_WEIGHT", 1e-9)
+
+
+def test_cells_on_the_ball_boundary(monkeypatch):
     # delta = 0.2: the last ratio is 1.0 / 0.2 = 5.0 exactly, and cells
     # (3, 4, 0), (0, 0, 5), (0, 3, 4) lie on the origin's sphere, while
     # (1, 0, 5) and (3, 4, 1) lie just outside it
@@ -597,6 +598,11 @@ def test_cells_on_the_ball_boundary():
     cells = np.array([[0, 0, 0], [3, 4, 0], [0, 0, 5], [0, 3, 4], [-5, 0, 0],
                       [1, 0, 5], [3, 4, 1], [2, 2, 2], [-3, 0, -4], [0, -4, 3]])
     fam = _points((cells + 0.5) * delta, delta)
+    # ten cells: each column's loop step outweighs the ten gathers it makes,
+    # so every scale takes the FFT, though 3 * cover * columns alone would
+    # send them all to the stencil
+    assert set(_profile_paths(fam)[2]) == {"fft"}
+    _force_stencil(monkeypatch)
     (radii, _, _, _), counts, paths = _profile_paths(fam)
     assert radii[-1] / delta == 5.0 and paths[-1] == "stencil"
     offsets = regularity._occupied_cells(cells)[0]
@@ -607,9 +613,10 @@ def test_cells_on_the_ball_boundary():
 
 
 @pytest.mark.parametrize("k", sorted(_ULP_BELOW))
-def test_ratio_one_ulp_below_an_integer(k):
+def test_ratio_one_ulp_below_an_integer(k, monkeypatch):
     # at r = 1 the ratio's square is one ulp below k: a cell at squared
     # distance k is out of the ball, one at k - 1 is in
+    _force_stencil(monkeypatch)
     delta = _ULP_BELOW[k]
     assert (1.0 / delta) * (1.0 / delta) == np.nextafter(float(k), 0.0)
     offsets = _random_cells(3, 150, 2 * math.isqrt(k) + 3, seed=k)
@@ -651,6 +658,34 @@ def test_dense_limit_compares_the_stencil_grid(monkeypatch):
     got, _, fewer = _profile_paths(fam)
     assert fewer[:j] == paths[:j] and fewer[j] == "fft"
     _assert_same_profile(got, profile)
+
+
+def test_stencil_needs_its_fft_grid_to_fit(monkeypatch):
+    # 90 x 90 cells: at ratio 1 the FFT grid, next_fast_len(91)^2 = 96^2,
+    # is larger than the stencil's 92 x 93 grid.  Below the FFT grid the
+    # scale takes the tree as it would with no stencil, not the stencil
+    rng = np.random.default_rng(5)
+    cells = np.vstack([[0, 0], [89, 89], rng.integers(0, 90, size=(300, 2))])
+    delta = 2.0**-7
+    fam = _points((cells + 0.5) * delta, delta)
+    fft_grid = regularity.next_fast_len(91) ** 2
+    assert 92 * 93 < fft_grid
+    _, _, paths = _profile_paths(fam)
+    assert paths[0] == "stencil"
+    monkeypatch.setattr(regularity, "DENSE_LIMIT", fft_grid)
+    assert _profile_paths(fam)[2][0] == "stencil"
+    monkeypatch.setattr(regularity, "DENSE_LIMIT", fft_grid - 1)
+    assert set(_profile_paths(fam)[2]) == {"tree"}
+
+
+@pytest.mark.parametrize("value", [0.1, 1.4])
+def test_fft_counts_that_round_wrong_raise(value, monkeypatch):
+    # 1.4 is 0.4 from an integer; 0.1 is within 0.25 of 0, but a ball holds
+    # its own centre, so a count that rounds to 0 is wrong all the same
+    monkeypatch.setattr(regularity, "irfftn", lambda spectrum, period: np.full(period, value))
+    offsets = np.array([[0, 0, 0], [1, 2, 0], [3, 0, 1]])
+    with pytest.raises(FloatingPointError, match="0.25 of positive integers"):
+        regularity._ball_counts(offsets, 2.0, np.array([2, 2, 1]), [6, 5, 3])
 
 
 def _shortcut_off_profile(fam):
