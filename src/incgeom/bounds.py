@@ -154,6 +154,8 @@ def comparison_range(s, t, d) -> ComparisonRange:
         raise ValueError(f"requires 2d - 1 - s > 0, got d = {d}, s = {s}")
     if d == s:
         raise ValueError(f"degenerate denominator d - s = 0 at s = {s}")
+    if t == -1:
+        raise ValueError(f"degenerate denominator t + 1 = 0 at t = {t}")
     denom = 2.0 * d - 1.0 - s
     M = (d - 1.0) * (s + 1.0 - d) / denom - (s - d + 2.0) / 2.0
     M_prime = M - (t / (t + 1.0) - 0.5) * (s - d + 2.0)
@@ -183,3 +185,16 @@ def annotate(bound, *args):
         return bound(*args).to_dict()
     except ValueError as e:
         return {"error": str(e)}
+
+
+def bound_table(delta, s, t, d, n_points, n_planes):
+    """Every bound here at one parameter set, keyed as in the reports.  The
+    linear bound is evaluated bare, so a bad delta raises; the others go
+    through `annotate`."""
+    return {
+        "linear": main_bound(delta, n_points, n_planes).to_dict(),
+        "planar": annotate(thm2d_exponent, s, t),
+        "cauchy_schwarz": annotate(cs_bound_exponent, s, t, d),
+        "separated_planes": annotate(dov_bound, delta, s, d, n_points, n_planes),
+        "comparison": annotate(comparison_range, s, t, d),
+    }

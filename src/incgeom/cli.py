@@ -18,8 +18,7 @@ import sys
 
 import numpy as np
 
-from .bounds import (annotate, comparison_range, cs_bound_exponent, dov_bound,
-                     main_bound, thm2d_exponent)
+from .bounds import bound_table
 from .constructions import construct_grid, construct_random, construct_sharp, ConstructionSpec
 from .cover import slab_intersection_cover, verify_cover
 from .family import read_family, write_family
@@ -106,16 +105,8 @@ def _cmd_count(args):
 
 
 def _cmd_bounds(args):
-    out = {
-        "planar": annotate(thm2d_exponent, args.s, args.t),
-        "linear": main_bound(args.delta, args.n_points, args.n_planes).to_dict(),
-        "cauchy_schwarz": annotate(cs_bound_exponent, args.s, args.t, args.dim),
-        "separated_planes": annotate(
-            dov_bound, args.delta, args.s, args.dim, args.n_points, args.n_planes
-        ),
-        "comparison": annotate(comparison_range, args.s, args.t, args.dim),
-    }
-    _emit(out, args.out)
+    _emit(bound_table(args.delta, args.s, args.t, args.dim, args.n_points, args.n_planes),
+          args.out)
     return 0
 
 

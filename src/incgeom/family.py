@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import check_plane_coeffs
+from .geometry import check_plane_coeffs, distinct_rows
 
 KINDS = ("points", "hyperplanes")
 
@@ -93,7 +93,7 @@ class Family:
         else:
             check_plane_coeffs(arr)
         if len(self) > 1:
-            distinct = np.unique(arr, axis=0).shape[0]
+            distinct = distinct_rows(arr)[0].size
             if distinct != len(self):
                 raise ValueError(
                     f"elements are not pairwise distinct ({len(self) - distinct} duplicate rows)"

@@ -124,6 +124,23 @@ def root_sum_squares(sq, make_diff):
     return np.where(redo, scale * np.sqrt(fold_dot(unit, unit)), root)[()]
 
 
+def distinct_rows(rows):
+    """The distinct rows of an (n, k) array, k >= 1, in lexicographic order:
+    the index of each one's first occurrence, each row's index among them,
+    and their multiplicities.  This is what `np.unique(rows, axis=0,
+    return_index=True, return_inverse=True, return_counts=True)` returns
+    besides the rows, from one stable lexsort over the columns and a row
+    difference; rows compare by value, so -0.0 equals 0.0."""
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    starts = np.flatnonzero(new)
+    inverse = np.empty(len(order), dtype=np.int64)
+    inverse[order] = np.cumsum(new) - 1
+    return order[starts], inverse, np.diff(np.append(starts, len(order)))
+
+
 def affine_metric(coeffs1, coeffs2):
     """Distance between hyperplanes: |u/|u| - v/|v|| + |a_d/|u| - b_d/|v||.
 

@@ -17,8 +17,7 @@ from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
 from ._version import __version__
-from .bounds import (annotate, comparison_range, cs_bound_exponent, dov_bound,
-                     main_bound, thm2d_exponent)
+from .bounds import bound_table
 from .constructions import ConstructionSpec, construct_sharp
 from .family import Family, read_family, require_int
 from .geometry import MODES
@@ -96,21 +95,11 @@ def _family_summary(fam: Family, exponent):
 
 
 def _bound_annotations(config, n_points, n_planes, incidence):
-    ann = {}
-    linear = main_bound(config.delta, n_points, n_planes)
-    entry = linear.to_dict()
-    entry["ratio"] = (
-        incidence.count / linear.value if linear.value > 0 else 0.0
-    )
-    ann["linear"] = entry
-    if config.dim == 2:
-        ann["planar"] = annotate(thm2d_exponent, config.s, config.t)
-    else:
-        ann["cauchy_schwarz"] = annotate(cs_bound_exponent, config.s, config.t, config.dim)
-        ann["separated_planes"] = annotate(
-            dov_bound, config.delta, config.s, config.dim, n_points, n_planes
-        )
-        ann["comparison"] = annotate(comparison_range, config.s, config.t, config.dim)
+    table = bound_table(config.delta, config.s, config.t, config.dim, n_points, n_planes)
+    kept = ["planar"] if config.dim == 2 else ["cauchy_schwarz", "separated_planes", "comparison"]
+    ann = {name: table[name] for name in ["linear", *kept]}
+    value = ann["linear"]["value"]
+    ann["linear"]["ratio"] = incidence.count / value if value > 0 else 0.0
     return ann
 
 

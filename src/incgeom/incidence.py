@@ -3,8 +3,9 @@
 Two counters produce the count I = #{(p, pi) : p in the closed
 cdelta-neighborhood of pi}: a brute-force oracle over all pairs and an
 accelerated counter.  The accelerated counter splits the planes into
-parallel classes (equal slope vectors a) and sends each class down one of
-two paths:
+parallel classes (equal slope vectors a, found by `distinct_rows`, which
+compares by value, so a signed zero never splits a class) and sends each
+class down one of two paths:
 
 - A class of at least `SWEEP_MIN_CLASS` planes is a stack of parallel
   slabs, so its count is a 1-D range count (Agarwal and Erickson 1999).
@@ -39,8 +40,8 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .family import Family, require_int
-from .geometry import (CANDIDATE_MARGIN, affine_metric, fold_dot, incidence_mask,
-                       slab_offsets, unit_normal_norms)
+from .geometry import (CANDIDATE_MARGIN, affine_metric, distinct_rows, fold_dot,
+                       incidence_mask, slab_offsets, unit_normal_norms)
 
 DEFAULT_LEAF_SIZE = 128
 
@@ -123,13 +124,15 @@ def _thread_count(workers, n_chunks):
     return max(1, min(workers, os.cpu_count() or 1, n_chunks))
 
 
-def _map_threads(fn, chunks, workers):
-    """`[fn(c) for c in chunks]`, on `_thread_count(workers, len(chunks))` threads."""
-    threads = _thread_count(workers, len(chunks))
-    if threads == 1:
-        return [fn(c) for c in chunks]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, chunks))
+def _summed_over_threads(fn, items, workers):
+    """Split `items` into `_thread_count(workers, len(items))` chunks, one
+    per thread, and add up the tuples of integer arrays `fn(chunk)` returns:
+    integer sums do not depend on the split."""
+    chunks = np.array_split(items, _thread_count(workers, len(items)))
+    if len(chunks) == 1:
+        return fn(chunks[0])
+    with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
+        return tuple(sum(parts) for parts in zip(*pool.map(fn, chunks)))
 
 
 def count_incidences_oracle(points_fam, planes_fam, cdelta, mode="euclidean", workers=1):
@@ -140,24 +143,23 @@ def count_incidences_oracle(points_fam, planes_fam, cdelta, mode="euclidean", wo
     pts = points_fam.elements
     coeffs = planes_fam.elements
     n, m = len(pts), len(coeffs)
-    per_plane = np.zeros(m, dtype=np.int64)
-    per_point = np.zeros(n, dtype=np.int64)
-    if n and m:
-        norms = unit_normal_norms(coeffs)
-        block = int(np.clip(_BATCH_CAP // max(n, 1), 1, m))
-        spans = [(j, min(j + block, m)) for j in range(0, m, block)]
+    norms = unit_normal_norms(coeffs)
+    block = max(1, min(_BATCH_CAP // max(n, 1), m))
 
-        def run(span):
-            j0, j1 = span
+    def run(starts):
+        per_plane = np.zeros(m, dtype=np.int64)
+        per_point = np.zeros(n, dtype=np.int64)
+        for j0 in starts:
+            j1 = min(j0 + block, m)
             mask = incidence_mask(
                 pts[:, None, :], coeffs[None, j0:j1, :], cdelta, mode,
                 norms=norms[None, j0:j1],
             )
-            return j0, j1, mask.sum(axis=0, dtype=np.int64), mask.sum(axis=1, dtype=np.int64)
+            per_plane[j0:j1] = mask.sum(axis=0, dtype=np.int64)
+            per_point += mask.sum(axis=1, dtype=np.int64)
+        return per_plane, per_point
 
-        for j0, j1, plane_part, point_part in _map_threads(run, spans, workers):
-            per_plane[j0:j1] = plane_part
-            per_point += point_part
+    per_plane, per_point = _summed_over_threads(run, np.arange(0, m, block), workers)
     return _assemble(per_plane.sum(), per_plane, per_point, cdelta, mode, points_fam.delta)
 
 
@@ -246,16 +248,11 @@ def _kd_counts(pts, coeffs, cdelta, mode, plane_ids, workers, leaf_size):
     n, m = len(pts), len(coeffs)
     tree = _PointTree(pts, leaf_size)
     norms, thresholds = _plane_thresholds(coeffs, cdelta, mode)
-    chunks = np.array_split(plane_ids, _thread_count(workers, plane_ids.size))
 
     def run(chunk):
         return _count_chunk(tree, coeffs, norms, thresholds, cdelta, mode, chunk, m)
 
-    per_plane = np.zeros(m, dtype=np.int64)
-    per_point_perm = np.zeros(n, dtype=np.int64)
-    for plane_part, point_part in _map_threads(run, chunks, workers):
-        per_plane += plane_part
-        per_point_perm += point_part
+    per_plane, per_point_perm = _summed_over_threads(run, plane_ids, workers)
     per_point = np.empty(n, dtype=np.int64)
     per_point[tree.perm] = per_point_perm
     return per_plane, per_point
@@ -318,19 +315,17 @@ def _sweep_counts(pts, coeffs, cdelta, mode, plane_ids, classes, workers):
     """Per-plane and per-point counts of the planes `plane_ids`, whose
     parallel-class labels are `classes`, by one sorted sweep per class;
     the classes are split into one chunk per thread."""
-    n, d = pts.shape
+    d = pts.shape[1]
     m = len(coeffs)
     norms, thresholds = _plane_thresholds(coeffs, cdelta, mode)
     kept = np.flatnonzero((coeffs[plane_ids, :-1] != 0).any(axis=0))
     if kept.size == 0:  # slab_offsets needs one slope column
         kept = np.zeros(1, dtype=np.int64)
-    distinct, first, inv, mult = np.unique(
-        pts[:, np.append(kept, d - 1)], axis=0,
-        return_index=True, return_inverse=True, return_counts=True,
-    )
+    rows = pts[:, np.append(kept, d - 1)]
+    first, inv, mult = distinct_rows(rows)
+    distinct = rows[first]
     order = np.argsort(classes, kind="stable")
     groups = np.split(plane_ids[order], np.flatnonzero(np.diff(classes[order])) + 1)
-    chunks = np.array_split(np.arange(len(groups)), _thread_count(workers, len(groups)))
 
     def run(chunk):
         per_plane = np.zeros(m, dtype=np.int64)
@@ -340,12 +335,8 @@ def _sweep_counts(pts, coeffs, cdelta, mode, plane_ids, classes, workers):
                          cdelta, mode, groups[g], per_plane, per_distinct)
         return per_plane, per_distinct
 
-    per_plane = np.zeros(m, dtype=np.int64)
-    per_distinct = np.zeros(len(distinct), dtype=np.int64)
-    for plane_part, distinct_part in _map_threads(run, chunks, workers):
-        per_plane += plane_part
-        per_distinct += distinct_part
-    return per_plane, per_distinct[inv.ravel()]
+    per_plane, per_distinct = _summed_over_threads(run, np.arange(len(groups)), workers)
+    return per_plane, per_distinct[inv]
 
 
 def count_incidences_fast(points_fam, planes_fam, cdelta, mode="euclidean",
@@ -367,12 +358,7 @@ def count_incidences_fast(points_fam, planes_fam, cdelta, mode="euclidean",
     per_plane = np.zeros(m, dtype=np.int64)
     per_point = np.zeros(n, dtype=np.int64)
     if n and m:
-        # + 0.0 turns -0.0 into 0.0, so a signed zero never splits a class
-        # (numpy releases before 2 compared the rows of unique(axis=0) bytewise)
-        _, classes, sizes = np.unique(
-            coeffs[:, :-1] + 0.0, axis=0, return_inverse=True, return_counts=True
-        )
-        classes = classes.ravel()
+        _, classes, sizes = distinct_rows(coeffs[:, :-1])
         swept = sizes[classes] >= SWEEP_MIN_CLASS
         parts = []
         if swept.any():

@@ -15,7 +15,10 @@ same spirit as counting occupied grid cells instead of covering balls.
 The counts are exact integers.
 
 A profile first plans every scale, then counts, so a family too large to
-count exactly is refused before any counting work.  Each scale takes one
+count exactly is refused before any counting work.  Every path reads the
+scale's one integer threshold: the reach floor(ratio + 1e-9) of code-max
+balls, or q = floor(ratio^2) of the Euclidean ball |o|^2 <= q.  One builder
+makes both prefix grids, the table and the stencil's.  Each scale takes one
 path:
 
 - table: code-max balls are boxes, counted from one summed-area table of
@@ -31,16 +34,16 @@ path:
   that the lower bound all rule out, so its argmax is the one a full count
   would pick;
 - stencil: a Euclidean scale whose lattice ball is small against its FFT
-  grid is summed in exact integers.  The ball |o|^2 <= q, q =
-  floor(ratio^2), splits into columns along the last axis, one per offset
-  o' over the other axes with |o'|^2 <= q, of half-length h = isqrt(q -
-  |o'|^2): for an integer |o|^2 this is the FFT kernel's own test |o|^2 <=
-  ratio^2.  On a padded occupancy grid summed along its last axis, a
-  centre's count is the sum over columns of two prefix differences.  A
+  grid is summed in exact integers.  The ball |o|^2 <= q splits into
+  columns along the last axis, one per offset o' over the other axes with
+  |o'|^2 <= q, of half-length h = isqrt(q - |o'|^2).  On a padded
+  occupancy grid summed along its last axis, a centre's count is the sum
+  over columns of two prefix differences.  A
   scale takes it when 3 * (cover + 1000) * columns <= P log2 P, P the
   scale's FFT grid, and both that grid and its own padded grid fit
   DENSE_LIMIT;
-- FFT: the other Euclidean scales are a circular FFT convolution.  With n
+- FFT: the other Euclidean scales are a circular FFT convolution whose
+  kernel is the stencil's columns, wrapped around the origin.  With n
   cells and c = min(reach, n - 1) on an axis, no two cells lie farther
   apart than n - 1, so a kernel clipped to |o| <= c loses nothing, and with
   period L >= n + c an offset past c wraps to at least L - (n - 1) > c, so
@@ -68,13 +71,13 @@ from scipy.signal import fftconvolve  # noqa: F401  (perfbench/tracing.py wraps 
 from scipy.spatial import cKDTree
 
 from .family import Family
-from .geometry import (CANDIDATE_MARGIN, affine_metric, code_coordinates, root_sum_squares,
-                       unit_normals)
+from .geometry import (CANDIDATE_MARGIN, affine_metric, code_coordinates, distinct_rows,
+                       root_sum_squares, unit_normals)
 
 # Cells a dense count may allocate (the code-max summed-area table, or the
 # Euclidean stencil or FFT grid of one scale) and the fallback tree limit;
 # past both, exact profiles are refused rather than approximated.  The
-# stencil's int32 sums and float64 square roots are exact below 2^27 cells.
+# int32 prefix grids and float64 square roots are exact below 2^27 cells.
 DENSE_LIMIT = 64_000_000
 TREE_LIMIT = 60_000
 AFFINE_LIMIT = 4_000
@@ -115,18 +118,6 @@ def measurement_coordinates(fam: Family):
     return code_coordinates(fam.elements)
 
 
-def _occupied_cells(cells):
-    """The distinct rows of an (n, d) int64 array in lexicographic order,
-    and the index of each row's first occurrence: what
-    `np.unique(cells, axis=0, return_index=True)` returns, from a stable
-    lexsort over the columns and a row difference."""
-    order = np.lexsort(cells.T[::-1])
-    ranked = cells[order]
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
-    return ranked[first], order[first]
-
-
 def covering_number(fam: Family, rho) -> int:
     """Number of occupied cells of the rho-grid anchored at the origin."""
     if not rho > 0:
@@ -134,7 +125,7 @@ def covering_number(fam: Family, rho) -> int:
     if len(fam) == 0:
         return 0
     cells = np.floor(measurement_coordinates(fam) / rho).astype(np.int64)
-    return int(_occupied_cells(cells)[0].shape[0])
+    return int(distinct_rows(cells)[0].size)
 
 
 def min_separation(fam: Family) -> float:
@@ -196,18 +187,22 @@ def _box_counts(table, offsets, reach):
     return counts
 
 
-def _ball_counts(offsets, ratio, clip, period):
+def _ball_counts(offsets, q, clip, period):
     """Euclidean ball counts by a circular FFT convolution whose kernel is
-    clipped to |o_k| <= clip_k and wrapped around the origin; a `period` of
-    at least n_k + clip_k per axis keeps aliases out (module docstring)."""
-    axes = [np.arange(-c, c + 1) for c in clip]
-    dist2 = sum(np.ix_(*[a.astype(np.float64) ** 2 for a in axes]))
+    the stencil's lattice ball, `_ball_columns(q, clip)`, wrapped around the
+    origin; a `period` of at least n_k + clip_k per axis keeps aliases out
+    (module docstring)."""
+    cols, halves = _ball_columns(q, clip, math.inf)
     # one grid holds the occupancy, then the kernel: three grids live at once
     grid = np.zeros(period)
     grid[tuple(offsets.T)] = 1.0
     spectrum = rfftn(grid)
-    grid.fill(0.0)
-    grid[np.ix_(*[a % n for a, n in zip(axes, period)])] = dist2 <= ratio * ratio
+    # the wrapped column o' holds the last-axis cells j with min(j, L - j)
+    # <= its half-length, as L >= 2 clip_d + 1; other rows hold none
+    halves_at = np.full(period[:-1], -1, dtype=np.int64)
+    halves_at[tuple((cols % period[:-1]).T)] = halves
+    j = np.arange(period[-1])
+    np.less_equal(np.minimum(j, period[-1] - j), halves_at[..., None], out=grid)
     spectrum *= rfftn(grid)
     del grid
     vals = irfftn(spectrum, period)[tuple(offsets.T)]
@@ -248,16 +243,20 @@ def _ball_columns(q, clip, limit):
     return cols, _isqrt(np.minimum(rest, clip[-1] * clip[-1]))
 
 
-def _prefix_grid(offsets, shape, pad):
-    """The occupancy summed along the last axis, in int32, on a grid padded
-    by `pad` on every side and by one more below on the last axis; and the
-    occupied cells' index rows in it.  Every stencil reaching at most `pad`
-    then reads inside the grid."""
-    lead = pad + np.eye(len(pad), dtype=np.int64)[-1]
+def _prefix_grid(offsets, shape, pad, axes):
+    """The occupancy summed along `axes`, in int32, on a grid padded by
+    `pad` on every side and by one more below along each summed axis; and
+    the occupied cells' index rows in it.  Summed along every axis with no
+    pad it is the code-max summed-area table; summed along the last axis,
+    every stencil reaching at most `pad` reads inside it.  Its values count
+    cells, so they stay below DENSE_LIMIT < 2^31."""
+    lead = np.zeros(len(shape), dtype=np.int64) + pad
+    lead[list(axes)] += 1
     prefix = np.zeros(tuple(shape + pad + lead), dtype=np.int32)
     centres = offsets + lead
     prefix[tuple(centres.T)] = 1
-    np.cumsum(prefix, axis=-1, out=prefix)
+    for k in axes:
+        np.cumsum(prefix, axis=k, out=prefix)
     return prefix, centres
 
 
@@ -287,15 +286,13 @@ def _counts_tree(tree, ratio, metric):
     return np.asarray(counts, dtype=np.int64)
 
 
-def _full_ball_centre(offsets, corner2, ratio):
-    """Row of the first centre whose Euclidean `ratio`-ball holds every
+def _full_ball_centre(offsets, corner2, q):
+    """Row of the first centre whose lattice ball |o|^2 <= q holds every
     occupied cell, when the corner and diagonal bounds of the module
     docstring decide it; None when they do not.  `corner2` holds each
     centre's squared distance to its farthest bounding-box corner.  Squared
-    distances are exact int64 and meet ratio * ratio as the FFT kernel's
-    do."""
-    r2 = ratio * ratio
-    passes = corner2 <= r2
+    distances are exact int64."""
+    passes = corner2 <= q
     k0 = int(np.argmax(passes))
     if not passes[k0]:
         return None
@@ -306,7 +303,7 @@ def _full_ball_centre(offsets, corner2, ratio):
         proj = offsets @ np.array((1,) + signs)
         for far in (offsets[np.argmax(proj)], offsets[np.argmin(proj)]):
             lower = np.maximum(lower, np.sum((offsets[:k0] - far) ** 2, axis=1))
-    return k0 if np.all(lower > r2) else None
+    return k0 if np.all(lower > q) else None
 
 
 def _scale_profile(fam: Family):
@@ -323,18 +320,18 @@ def _scale_profile(fam: Family):
     columns <= P log2 P, else the circular FFT; a kd-tree for a scale whose
     table or FFT grid would exceed DENSE_LIMIT cells; and a ValueError,
     raised before any count, when that tree would exceed TREE_LIMIT cells.
-    The stencil's columns hold exactly the offsets with |o|^2 <=
-    floor(ratio^2), the FFT kernel's cells, and its scales share one
-    prefix grid, padded for the largest of them."""
+    The stencil scales share one prefix grid, padded for the largest of
+    them, and the code-max tree takes the table's reach as its radius."""
     if len(fam) == 0:
         raise ValueError("regularity profile of an empty family")
     delta = fam.delta
     metric = "euclidean" if fam.kind == "points" else "chebyshev"
     coords = measurement_coordinates(fam)
     cells = np.floor(coords / delta).astype(np.int64)
-    uniq, first_idx = _occupied_cells(cells)
-    cover = uniq.shape[0]
-    offsets = uniq - uniq.min(axis=0)
+    first_idx = distinct_rows(cells)[0]
+    cover = first_idx.size
+    offsets = cells[first_idx]
+    offsets -= offsets.min(axis=0)
     shape = offsets.max(axis=0) + 1
 
     radii = _scale_radii(delta)
@@ -349,20 +346,21 @@ def _scale_profile(fam: Family):
         ratio = r / delta
         reach = int(math.floor(ratio + 1e-9))
         if metric == "chebyshev":
-            step, dense = ("table", reach), math.prod(shape + 1)
+            step, dense, radius = ("table", reach), math.prod(shape + 1), reach
         else:
-            centre = None if corner2 is None else _full_ball_centre(offsets, corner2, ratio)
+            q = math.floor(ratio * ratio)
+            centre = None if corner2 is None else _full_ball_centre(offsets, corner2, q)
             if centre is not None:
                 plan.append(("full", centre))
                 continue
             clip = np.minimum(reach, shape - 1)
+            # past sum(clip^2), q admits every clipped offset alike
+            q = min(q, int(np.sum(clip * clip)))
             period = [next_fast_len(int(n + c)) for n, c in zip(shape, clip)]
             fft_cells = math.prod(period)
-            step, dense = ("fft", ratio, clip, period), fft_cells
+            step, dense, radius = ("fft", q, clip, period), fft_cells, ratio
             stencil_cells = math.prod(shape + 2 * clip + last)
             if max(fft_cells, stencil_cells) <= DENSE_LIMIT:
-                # past sum(clip^2), q admits every clipped offset alike
-                q = math.floor(min(ratio * ratio, int(np.sum(clip * clip))))
                 budget = (fft_cells * math.log2(fft_cells)
                           / (_STENCIL_WEIGHT * (cover + _COLUMN_COST)))
                 columns = _ball_columns(q, clip, budget)
@@ -371,7 +369,7 @@ def _scale_profile(fam: Family):
         if dense <= DENSE_LIMIT:
             plan.append(step)
         elif cover <= TREE_LIMIT:
-            plan.append(("tree", ratio, metric))
+            plan.append(("tree", radius, metric))
         else:
             raise ValueError(
                 f"family too large for an exact regularity profile at scale r={float(r)!r} "
@@ -381,14 +379,11 @@ def _scale_profile(fam: Family):
 
     table = tree = prefix = None
     if plan[0][0] == "table":
-        table = np.zeros(tuple(shape + 1), dtype=np.int64)
-        table[tuple((offsets + 1).T)] = 1
-        for k in range(fam.dim):
-            table = np.cumsum(table, axis=k)
+        table, _ = _prefix_grid(offsets, shape, 0, range(fam.dim))
     stencils = sum(path == "stencil" for path, *_ in plan)
     if stencils:
         pad = np.max([clip for path, clip, *_ in plan if path == "stencil"], axis=0)
-        prefix, centres = _prefix_grid(offsets, shape, pad)
+        prefix, centres = _prefix_grid(offsets, shape, pad, [-1])
     max_counts = np.empty(radii.size, dtype=np.int64)
     argmax_elem = np.empty(radii.size, dtype=np.int64)
     for j, (path, *args) in enumerate(plan):
@@ -426,24 +421,25 @@ def _affine_profile(fam: Family):
         raise ValueError(
             f"affine-metric profile refused for {n} hyperplanes (limit {AFFINE_LIMIT})"
         )
+    if n == 0:
+        raise ValueError("regularity profile of an empty family")
     delta = fam.delta
     cells = np.floor(code_coordinates(fam.elements) / delta).astype(np.int64)
-    uniq, inverse = np.unique(cells, axis=0, return_inverse=True)
-    cover = uniq.shape[0]
-    pair = affine_metric(fam.elements[:, None, :], fam.elements[None, :, :])
+    _, inverse, sizes = distinct_rows(cells)
+    # columns grouped by cell, so that one reduceat per scale gives the
+    # (element, cell) hits
+    by_cell = np.argsort(inverse, kind="stable")
+    starts = np.cumsum(sizes) - sizes
+    pair = affine_metric(fam.elements[:, None, :], fam.elements[by_cell][None, :, :])
     radii = _scale_radii(delta)
     max_counts = np.empty(radii.size, dtype=np.int64)
     argmax_elem = np.empty(radii.size, dtype=np.int64)
     for j, r in enumerate(radii):
-        within = pair <= r
-        best, best_i = 0, 0
-        for i in range(n):
-            c = np.unique(inverse[within[i]]).size
-            if c > best:
-                best, best_i = c, i
-        max_counts[j] = best
-        argmax_elem[j] = best_i
-    return radii, max_counts, argmax_elem, cover
+        counts = np.logical_or.reduceat(pair <= r, starts, axis=1).sum(axis=1)
+        # the first maximum; each element's own cell makes every count >= 1
+        argmax_elem[j] = np.argmax(counts)
+        max_counts[j] = counts[argmax_elem[j]]
+    return radii, max_counts, argmax_elem, sizes.size
 
 
 def _build_report(fam, s, variant, use_affine_metric):

@@ -1,7 +1,7 @@
 import pytest
 
-from incgeom.bounds import (BoundValue, ComparisonRange, annotate, comparison_range,
-                            cs_bound_exponent, dov_bound, main_bound,
+from incgeom.bounds import (BoundValue, ComparisonRange, annotate, bound_table,
+                            comparison_range, cs_bound_exponent, dov_bound, main_bound,
                             thm2d_exponent)
 
 
@@ -158,6 +158,8 @@ class TestComparisonRange:
     def test_degenerate_denominator(self):
         with pytest.raises(ValueError, match="degenerate"):
             comparison_range(3.0, 1.0, 3)
+        with pytest.raises(ValueError, match="t \\+ 1 = 0"):
+            comparison_range(1.5, -1.0, 3)
 
     def test_to_dict_round_trip(self):
         cr = comparison_range(1.5, 1.5, 3)
@@ -184,3 +186,20 @@ class TestAnnotate:
         assert annotate(dov_bound, 0.1, 0.5, 3, 10, 10) == {
             "error": "this bound requires s > 1, got s = 0.5"
         }
+
+
+class TestBoundTable:
+    def test_entries_are_the_annotated_bounds(self):
+        assert bound_table(0.01, 1.5, 0.5, 3, 100, 200) == {
+            "linear": main_bound(0.01, 100, 200).to_dict(),
+            "planar": annotate(thm2d_exponent, 1.5, 0.5),
+            "cauchy_schwarz": annotate(cs_bound_exponent, 1.5, 0.5, 3),
+            "separated_planes": annotate(dov_bound, 0.01, 1.5, 3, 100, 200),
+            "comparison": annotate(comparison_range, 1.5, 0.5, 3),
+        }
+
+    def test_refused_bounds_are_marked_but_a_bad_delta_raises(self):
+        table = bound_table(0.01, 0.5, 0.5, 2, 10, 10)
+        assert set(table["cauchy_schwarz"]) == set(table["separated_planes"]) == {"error"}
+        with pytest.raises(ValueError, match="delta"):
+            bound_table(1.5, 1.5, 1.5, 3, 10, 10)

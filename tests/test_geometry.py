@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from incgeom.family import Family
 from incgeom.geometry import (CANDIDATE_MARGIN, affine_metric, check_plane_coeffs,
                               code_coordinates, code_metric, dual_plane,
-                              dual_point, fold_dot, incidence_predicate,
+                              distinct_rows, dual_point, fold_dot, incidence_predicate,
                               phong_stein_determinant, phong_stein_matrix,
                               point_plane_distance, slab_offsets,
                               unit_normal_norms, unit_normals)
@@ -370,3 +370,40 @@ class TestFoldDot:
         for p, c, got, norm in zip(pts, coeffs, offsets, norms):
             assert got == scalar_fold(p[:-1], c[:-1]) - float(p[-1]) + float(c[-1])
             assert norm == math.sqrt(scalar_fold(c[:-1], c[:-1]) + 1.0)
+
+
+def _assert_unique_parts(rows):
+    got = distinct_rows(rows)
+    want = np.unique(rows, axis=0, return_index=True, return_inverse=True, return_counts=True)
+    for part, want_part in zip(got, want[1:]):
+        assert part.dtype == np.int64
+        assert np.array_equal(part, want_part.reshape(-1))
+
+
+@given(d=st.integers(1, 6), data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_distinct_rows_equal_numpy_unique(d, data):
+    # int rows with duplicates, and the same rows as floats with some zeros
+    # made -0.0, which must fall in with 0.0
+    rows = data.draw(st.lists(st.tuples(*[st.integers(-3, 3)] * d), max_size=60))
+    cells = np.array(rows, dtype=np.int64).reshape(-1, d)
+    if len(cells):
+        repeat = data.draw(st.lists(st.integers(0, len(cells) - 1), max_size=20))
+        cells = np.vstack([cells, cells[repeat]])
+    cells = cells * data.draw(st.sampled_from([1, 2**40]))
+    floats = cells * 0.25
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    floats[(floats == 0) & (rng.random(floats.shape) < 0.5)] = -0.0
+    _assert_unique_parts(cells)
+    _assert_unique_parts(floats)
+
+
+def test_distinct_rows_signed_zeros_and_no_rows():
+    rows = np.array([[0.0, 1.0], [-0.0, 1.0], [1.0, -0.0], [0.0, 1.0], [1.0, 0.0]])
+    first, inverse, counts = distinct_rows(rows)
+    assert first.tolist() == [0, 2] and inverse.tolist() == [0, 0, 1, 0, 1]
+    assert counts.tolist() == [3, 2]
+    _assert_unique_parts(rows)
+    for dtype in (np.int64, np.float64):
+        assert [part.size for part in distinct_rows(np.empty((0, 3), dtype=dtype))] == [0, 0, 0]
+        _assert_unique_parts(np.empty((0, 3), dtype=dtype))

@@ -5,6 +5,7 @@ import pathlib
 import pytest
 
 from incgeom._version import __version__
+from incgeom.bounds import bound_table
 from incgeom.constructions import ConstructionSpec, construct_sharp
 from incgeom.family import write_family
 from incgeom.harness import ExperimentConfig, run_experiment, sweep
@@ -66,6 +67,13 @@ class TestRunExperiment:
     def test_planar_annotation_in_dimension_two(self, default_report):
         assert "planar" in default_report.bounds
         assert default_report.bounds["planar"]["delta_exponent"] == 1.0
+
+    def test_bounds_are_entries_of_the_bound_table(self, default_report):
+        c, fams = default_report.config, default_report.families
+        table = bound_table(c.delta, c.s, c.t, c.dim, fams["points"]["size"],
+                            fams["hyperplanes"]["size"])
+        linear = dict(table["linear"], ratio=default_report.bounds["linear"]["ratio"])
+        assert default_report.bounds == {"linear": linear, "planar": table["planar"]}
 
     def test_deterministic_up_to_timings(self):
         cfg = ExperimentConfig()

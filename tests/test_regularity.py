@@ -10,7 +10,7 @@ from incgeom import regularity
 from incgeom.constructions import (ConstructionSpec, construct_grid,
                                    construct_random, construct_sharp)
 from incgeom.family import Family
-from incgeom.geometry import affine_metric, unit_normal_norms
+from incgeom.geometry import affine_metric, code_coordinates, distinct_rows, unit_normal_norms
 from incgeom.regularity import (best_dimension, covering_number,
                                 katz_tao_constant, min_separation,
                                 regularity_constant)
@@ -221,10 +221,17 @@ class TestProfilePaths:
         assert forced.c_star == baseline.c_star
 
     def test_tree_path_matches_dense_on_planes(self, monkeypatch):
-        fam = construct_random("hyperplanes", 2, DELTA, 200, seed=1)
-        baseline = regularity_constant(fam, 1.0)
+        fams = [construct_random("hyperplanes", 2, DELTA, 200, seed=1)]
+        # 1 / delta just below k: at r = 1 the table's reach is k, and so
+        # must the tree's be
+        for k in (8, 13, 40):
+            delta = 1.0 / k
+            while not 1.0 / delta < k:
+                delta = float(np.nextafter(delta, 1.0))
+            fams += [construct_random("hyperplanes", d, delta, 60, seed=k) for d in (2, 3)]
+        baselines = [regularity_constant(fam, 1.0).per_scale for fam in fams]
         monkeypatch.setattr("incgeom.regularity.DENSE_LIMIT", 1)
-        assert regularity_constant(fam, 1.0).per_scale == baseline.per_scale
+        assert [regularity_constant(fam, 1.0).per_scale for fam in fams] == baselines
 
     def test_inexact_fft_counts_raise(self, grid64, monkeypatch):
         real = regularity.irfftn
@@ -518,7 +525,7 @@ def _stencil(offsets, ratio):
     clip = np.minimum(int(math.floor(ratio + 1e-9)), shape - 1)
     q = math.floor(min(ratio * ratio, int(np.sum(clip * clip))))
     cols, halves = regularity._ball_columns(q, clip, math.inf)
-    prefix, centres = regularity._prefix_grid(offsets, shape, clip)
+    prefix, centres = regularity._prefix_grid(offsets, shape, clip, [-1])
     return regularity._stencil_counts(prefix, centres, cols, halves)
 
 
@@ -559,9 +566,12 @@ def test_ball_columns_are_the_fft_kernel(d, ratio):
         assert regularity._ball_columns(q, clip, len(cols) - 1) is None
 
 
+def _distinct(cells):
+    return cells[distinct_rows(cells)[0]]
+
+
 def _random_cells(d, n, width, seed):
-    cells = np.random.default_rng(seed).integers(0, width, size=(n, d))
-    return regularity._occupied_cells(cells)[0]
+    return _distinct(np.random.default_rng(seed).integers(0, width, size=(n, d)))
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -570,7 +580,7 @@ def test_stencil_counts_equal_brute_force(d):
     hollow = np.round(_hollow_cube(d, {2: 30, 3: 10, 4: 5}[d], 1.0)).astype(np.int64)
     scatter = _random_cells(d, 300, 12, seed=d)
     ratios = [1.0, 2.0, 3.0, 4.0, 5.0] + [1.0 / delta for delta in _ULP_BELOW.values()]
-    for offsets in (regularity._occupied_cells(hollow)[0], scatter):
+    for offsets in (_distinct(hollow), scatter):
         for ratio in ratios:
             got = _stencil(offsets, ratio)
             assert got.dtype == np.int64
@@ -605,7 +615,7 @@ def test_cells_on_the_ball_boundary(monkeypatch):
     _force_stencil(monkeypatch)
     (radii, _, _, _), counts, paths = _profile_paths(fam)
     assert radii[-1] / delta == 5.0 and paths[-1] == "stencil"
-    offsets = regularity._occupied_cells(cells)[0]
+    offsets = _distinct(cells)
     for r, got in zip(radii, counts):
         assert np.array_equal(got, _brute_force_counts(offsets, r / delta))
     origin = int(np.flatnonzero(np.all(offsets == 0, axis=1))[0])
@@ -648,7 +658,7 @@ def test_dense_limit_compares_the_stencil_grid(monkeypatch):
     fam = construct_random("points", 3, 2.0**-5, 2000, seed=3)
     profile, _, paths = _profile_paths(fam)
     j = max(k for k, path in enumerate(paths) if path == "stencil")
-    offsets = regularity._occupied_cells(np.floor(fam.elements / fam.delta).astype(np.int64))[0]
+    offsets = _distinct(np.floor(fam.elements / fam.delta).astype(np.int64))
     shape = np.ptp(offsets, axis=0) + 1
     clip = np.minimum(2**j, shape - 1)
     grid = int(np.prod(shape + 2 * clip + np.eye(3, dtype=np.int64)[-1]))
@@ -742,12 +752,12 @@ def test_undecided_centre_falls_back_to_the_fft(d, radius):
     # centre passes, and the diagonal bound cannot rule the tip out
     delta = 2.0**-3
     fam = _points((_lattice_ball(d, radius) + 0.5) * delta, delta)
-    offsets = regularity._occupied_cells(np.floor(fam.elements / delta).astype(np.int64))[0]
+    offsets = _distinct(np.floor(fam.elements / delta).astype(np.int64))
     offsets -= offsets.min(axis=0)
     shape = offsets.max(axis=0) + 1
     corner2 = np.sum(np.maximum(offsets, shape - 1 - offsets) ** 2, axis=1)
     assert np.any(corner2 <= 64) and corner2[0] > 64
-    assert regularity._full_ball_centre(offsets, corner2, 8.0) is None
+    assert regularity._full_ball_centre(offsets, corner2, 64) is None
     got = regularity._scale_profile(fam)
     _assert_same_profile(got, _reference_profile(fam)[0])
     assert got[1][-1] == got[3] and got[2][-1] == 0
@@ -778,7 +788,8 @@ def test_full_boxes_are_always_decided(dims):
     for ratio in (1.0, 2.0, 2.5, 3.0, 4.0, 8.0):
         passing = np.flatnonzero(far2 <= ratio * ratio)
         want = int(passing[0]) if passing.size else None
-        assert regularity._full_ball_centre(offsets, corner2, ratio) == want
+        q = math.floor(ratio * ratio)
+        assert regularity._full_ball_centre(offsets, corner2, q) == want
 
 
 def test_boxes_past_exact_squares_take_the_other_paths():
@@ -788,22 +799,6 @@ def test_boxes_past_exact_squares_take_the_other_paths():
     got = regularity._scale_profile(fam)
     _assert_same_profile(got, _shortcut_off_profile(fam))
     assert list(got[1][:3]) == [2, 2, 2] and got[1][-1] == 3
-
-
-@given(d=st.integers(1, 6), data=st.data())
-@settings(max_examples=80, deadline=None)
-def test_occupied_cells_equal_numpy_unique(d, data):
-    rows = data.draw(st.lists(st.tuples(*[st.integers(-3, 3)] * d), max_size=60))
-    cells = np.array(rows, dtype=np.int64).reshape(-1, d)
-    if len(cells):
-        repeat = data.draw(st.lists(st.integers(0, len(cells) - 1), max_size=20))
-        cells = np.vstack([cells, cells[repeat]])
-    cells = cells * data.draw(st.sampled_from([1, 2**40]))
-    uniq, first_idx = regularity._occupied_cells(cells)
-    want_uniq, want_idx = np.unique(cells, axis=0, return_index=True)
-    assert np.array_equal(uniq, want_uniq.reshape(-1, d))
-    assert np.array_equal(first_idx, want_idx)
-    assert uniq.dtype == np.int64
 
 
 def _brute_force_separation(pts):
@@ -871,6 +866,21 @@ class TestAffineMetricVariant:
         assert ra.per_scale == rc.per_scale
         assert ra.metric == "affine"
 
+    def test_matches_a_scan_of_each_element(self):
+        # the lines 0, 1, ..., 16 delta tie at the small scales, where the
+        # first maximum is the argmax
+        lines = np.column_stack([np.zeros(17), np.arange(17) * DELTA])
+        for fam in (Family(kind="hyperplanes", elements=lines, delta=DELTA, dim=2),
+                    construct_random("hyperplanes", 2, DELTA, 150, seed=9),
+                    construct_random("hyperplanes", 3, 2.0**-3, 150, seed=2)):
+            cells = np.floor(code_coordinates(fam.elements) / fam.delta)
+            pair = affine_metric(fam.elements[:, None, :], fam.elements[None, :, :])
+            radii, max_counts, argmax, cover = regularity._affine_profile(fam)
+            assert cover == len({tuple(c) for c in cells})
+            for r, got_max, got_arg in zip(radii, max_counts, argmax):
+                counts = [len({tuple(c) for c in cells[row <= r]}) for row in pair]
+                assert (got_max, got_arg) == (max(counts), counts.index(max(counts)))
+
     def test_bounded_disagreement_on_random_planes(self):
         fam = construct_random("hyperplanes", 2, DELTA, 300, seed=9)
         ca = regularity_constant(fam, 1.5, use_affine_metric=True).c_star
@@ -880,6 +890,12 @@ class TestAffineMetricVariant:
     def test_refused_for_points(self, grid64):
         with pytest.raises(ValueError, match="hyperplane"):
             regularity_constant(grid64, 1.0, use_affine_metric=True)
+
+    def test_empty_family(self):
+        fam = Family(kind="hyperplanes", elements=np.empty((0, 2)), delta=DELTA, dim=2)
+        for affine in (False, True):
+            with pytest.raises(ValueError, match="regularity profile of an empty family"):
+                regularity_constant(fam, 1.0, use_affine_metric=affine)
 
     def test_size_cap(self):
         coeffs = np.column_stack([np.zeros(4001), np.linspace(-0.9, 0.9, 4001)])
