@@ -109,8 +109,8 @@ def write_family(fam: Family, path):
             fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
 
 
-def read_family(path, validate=True) -> Family:
-    """Parse a family file; errors carry the offending line number."""
+def read_family(path) -> Family:
+    """Parse and validate a family file; errors carry the offending line number."""
     with open(path) as fh:
         lines = fh.readlines()
 
@@ -155,15 +155,13 @@ def read_family(path, validate=True) -> Family:
 
     arr = np.array(rows, dtype=np.float64) if rows else np.empty((0, dim))
     fam = Family(kind=kind, elements=arr, delta=delta, dim=dim)
-    if validate and rows:
-        try:
-            fam.validate()
-        except ValueError as exc:
-            idx = _leading_index(str(exc))
-            if idx is not None and idx < len(row_lines):
-                raise ValueError(f"{path}:{row_lines[idx]}: {exc}") from None
-            raise ValueError(f"{path}: {exc}") from None
-    return fam
+    try:
+        return fam.validate()
+    except ValueError as exc:
+        idx = _leading_index(str(exc))
+        if idx is not None and idx < len(row_lines):
+            raise ValueError(f"{path}:{row_lines[idx]}: {exc}") from None
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _leading_index(message):

@@ -28,7 +28,7 @@ MODES = ("euclidean", "psi")
 # Rounding in the offset, box and distance arithmetic is at the 1e-16
 # relative level; a candidate filter widened by this relative margin sends
 # everything within it of its threshold on to the exact test, so the filter
-# never drops a pair the test would keep or keep one it would decide alone.
+# never drops a pair the test would keep.
 CANDIDATE_MARGIN = 1e-9
 
 

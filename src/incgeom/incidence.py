@@ -18,13 +18,17 @@ class down one of two paths:
   fold, so they are dropped first: points that differ only there (the
   lifted sharp pair's layers) are swept once, with their multiplicity.
 - Every other plane meets every leaf box of scipy's `cKDTree` of the
-  points (Bentley 1975) in one broadcast pass, with no descent.  A box is
-  accepted or rejected whole only when its bounds, widened by
-  `CANDIDATE_MARGIN`, leave no doubt; the undecided leaves fall back to
-  the oracle's predicate expression.
+  points (Bentley 1975) in one broadcast pass, with no descent.  A leaf
+  skips a plane only when its box, widened by `CANDIDATE_MARGIN`, lies
+  outside the plane's slab; the oracle's predicate runs on the points of
+  every other leaf.
 
-Both paths agree with the oracle bit for bit on every input, worker count
-and leaf size.
+Both filters are one-sided: a window or a box test only drops pairs that
+lie farther from the slab than the margin, which the predicate would
+refuse, and every pair it keeps is decided by the predicate.  So every
+incidence either path reports is a predicate hit on the oracle's operand
+values, and both paths agree with the oracle bit for bit on every input,
+worker count and leaf size.
 
 Also here: the dyadic annulus decomposition of a hyperplane family around a
 center plane, bucketed by the affine metric.
@@ -40,7 +44,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .family import Family, require_int
-from .geometry import (CANDIDATE_MARGIN, affine_metric, distinct_rows, fold_dot,
+from .geometry import (CANDIDATE_MARGIN, MODES, affine_metric, distinct_rows, fold_dot,
                        incidence_mask, slab_offsets, unit_normal_norms)
 
 DEFAULT_LEAF_SIZE = 128
@@ -84,8 +88,10 @@ def _histogram(values):
     return tuple((int(v), int(m)) for v, m in zip(vals, mult))
 
 
-def _prepare(points_fam: Family, planes_fam: Family, cdelta, workers):
+def _prepare(points_fam: Family, planes_fam: Family, cdelta, mode, workers):
     require_int("workers", workers)
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     if points_fam.kind != "points":
         raise ValueError(f"first family must be points, got {points_fam.kind!r}")
     if planes_fam.kind != "hyperplanes":
@@ -139,7 +145,7 @@ def count_incidences_oracle(points_fam, planes_fam, cdelta, mode="euclidean", wo
     """Ground-truth count: the shared predicate over every (point, plane)
     pair, evaluated in plane blocks.  Parallelism only splits the blocks;
     all reductions are integer sums, so the report is worker-independent."""
-    _prepare(points_fam, planes_fam, cdelta, workers)
+    _prepare(points_fam, planes_fam, cdelta, mode, workers)
     pts = points_fam.elements
     coeffs = planes_fam.elements
     n, m = len(pts), len(coeffs)
@@ -198,48 +204,34 @@ def _plane_thresholds(coeffs, cdelta, mode):
 
 def _count_chunk(tree, coeffs, norms, thresholds, cdelta, mode, plane_ids, m):
     """Counts of the planes `plane_ids` in O(leaves x planes): blocks of
-    leaves meet every one of these planes, so each leaf reaches the
-    predicate once."""
+    leaves meet every one of these planes, a leaf skips each plane whose
+    slab its widened box misses, and the predicate runs on the leaf's
+    points against every other plane, once per leaf."""
     per_plane = np.zeros(m, dtype=np.int64)
     per_point = np.zeros(tree.points.shape[0], dtype=np.int64)
-    sizes = tree.hi - tree.lo
-    accepting = np.empty(sizes.size, dtype=np.int64)  # planes that accept each leaf
     planes = coeffs[None, plane_ids]
     slopes = np.abs(coeffs[None, plane_ids, :-1])
     thr = thresholds[plane_ids]
     step = max(1, _BATCH_CAP // plane_ids.size)
-    for l0 in range(0, sizes.size, step):
+    for l0 in range(0, tree.lo.size, step):
         block = slice(l0, l0 + step)
         apsic = np.abs(slab_offsets(tree.centers[block, None], planes))
         halves = tree.halves[block, None]
         spread = fold_dot(slopes, halves[..., :-1]) + halves[..., -1]
         margin = CANDIDATE_MARGIN * (apsic + spread + thr)
-        accept = apsic + spread + margin <= thr
-        reject = apsic - spread - margin > thr
-        per_plane[plane_ids] += sizes[block] @ accept
-        accepting[block] = accept.sum(axis=1)
-        leaves, cols = np.nonzero(~(accept | reject))
-        if leaves.size:
-            _leaf_eval(tree, leaves + l0, plane_ids[cols], coeffs, norms, cdelta, mode,
-                       per_plane, per_point)
-    per_point += np.repeat(accepting, sizes)
+        near = apsic - spread - margin <= thr
+        for leaf, row in enumerate(near, start=l0):
+            pl = plane_ids[row]
+            if not pl.size:
+                continue
+            b0, b1 = tree.lo[leaf], tree.hi[leaf]
+            mask = incidence_mask(
+                tree.points[b0:b1, None, :], coeffs[None, pl, :], cdelta, mode,
+                norms=norms[None, pl],
+            )
+            per_plane[pl] += mask.sum(axis=0, dtype=np.int64)
+            per_point[b0:b1] += mask.sum(axis=1, dtype=np.int64)
     return per_plane, per_point
-
-
-def _leaf_eval(tree, leaves, planes, coeffs, norms, cdelta, mode, per_plane, per_point):
-    """Exact predicate evaluation for (leaf, plane) pairs sorted by leaf.
-    Within one leaf the plane list is duplicate-free, so plain fancy-index
-    accumulation is safe."""
-    bounds = np.flatnonzero(np.diff(leaves)) + 1
-    for i0, i1 in zip(np.r_[0, bounds], np.r_[bounds, leaves.size]):
-        b0, b1 = tree.lo[leaves[i0]], tree.hi[leaves[i0]]
-        pl = planes[i0:i1]
-        mask = incidence_mask(
-            tree.points[b0:b1, None, :], coeffs[None, pl, :], cdelta, mode,
-            norms=norms[None, pl],
-        )
-        per_plane[pl] += mask.sum(axis=0, dtype=np.int64)
-        per_point[b0:b1] += mask.sum(axis=1, dtype=np.int64)
 
 
 def _kd_counts(pts, coeffs, cdelta, mode, plane_ids, workers, leaf_size):
@@ -345,12 +337,14 @@ def count_incidences_fast(points_fam, planes_fam, cdelta, mode="euclidean",
 
     Parallel classes of at least `SWEEP_MIN_CLASS` planes are counted by a
     sorted sweep over the points' offsets, every other plane by the kd-tree
-    leaf pass (see the module docstring for why both are exact).  Both paths
-    decide each candidate pair with the oracle's own predicate expression
-    on the same operand values, per-plane results never depend on the
-    chunking, and per-point counts are integer sums, so any worker count or
-    leaf size yields the same report."""
-    _prepare(points_fam, planes_fam, cdelta, workers)
+    leaf pass.  Neither path counts a pair that the predicate has not
+    accepted: their filters only drop pairs outside a slab widened by
+    `CANDIDATE_MARGIN`, and the predicate decides every other pair on the
+    same operand values as the oracle (see the module docstring).
+    Per-plane results never depend on the chunking, and per-point counts
+    are integer sums, so any worker count or leaf size yields the same
+    report."""
+    _prepare(points_fam, planes_fam, cdelta, mode, workers)
     require_int("leaf_size", leaf_size)
     pts = points_fam.elements
     coeffs = planes_fam.elements
@@ -402,14 +396,10 @@ def annulus_partition(planes_fam: Family, center) -> AnnulusPartition:
     buckets = {}
     if others.size:
         w = np.asarray(affine_metric(center, elements[others]))
-        idx = np.zeros(others.size, dtype=np.int64)
-        above = w >= delta
-        ii = np.floor(np.log2(w[above] / delta)).astype(np.int64) + 1
-        # floor(log2) can sit one off at exact powers of two; nudge until the
-        # half-open interval [2^(i-1) delta, 2^i delta) really holds
-        ii[w[above] >= delta * np.exp2(ii)] += 1
-        ii[w[above] < delta * np.exp2(ii - 1)] -= 1
-        idx[above] = ii
+        # i = the number of edges delta 2^j <= w, each edge exact; the
+        # largest w lies below delta 2^top
+        top = np.frexp(w.max() / delta)[1]
+        idx = np.searchsorted(delta * np.exp2(np.arange(top)), w, side="right")
         for i in np.unique(idx):
             buckets[int(i)] = others[idx == i]
     return AnnulusPartition(center=center, delta=delta, buckets=buckets)

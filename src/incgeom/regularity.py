@@ -81,6 +81,8 @@ from .geometry import (CANDIDATE_MARGIN, affine_metric, code_coordinates, distin
 DENSE_LIMIT = 64_000_000
 TREE_LIMIT = 60_000
 AFFINE_LIMIT = 4_000
+# Pairs per row block of the affine-metric profile's distance matrix.
+_AFFINE_BLOCK = 2**19
 # A Euclidean scale takes the column stencil when _STENCIL_WEIGHT * (cover
 # + _COLUMN_COST) * columns <= P log2 P, P its FFT grid: two gathers per
 # column and centre against one transform pass over the grid, where one
@@ -428,18 +430,21 @@ def _affine_profile(fam: Family):
     _, inverse, sizes = distinct_rows(cells)
     # columns grouped by cell, so that one reduceat per scale gives the
     # (element, cell) hits
-    by_cell = np.argsort(inverse, kind="stable")
+    by_cell = fam.elements[np.argsort(inverse, kind="stable")][None, :, :]
     starts = np.cumsum(sizes) - sizes
-    pair = affine_metric(fam.elements[:, None, :], fam.elements[by_cell][None, :, :])
     radii = _scale_radii(delta)
-    max_counts = np.empty(radii.size, dtype=np.int64)
-    argmax_elem = np.empty(radii.size, dtype=np.int64)
-    for j, r in enumerate(radii):
-        counts = np.logical_or.reduceat(pair <= r, starts, axis=1).sum(axis=1)
-        # the first maximum; each element's own cell makes every count >= 1
-        argmax_elem[j] = np.argmax(counts)
-        max_counts[j] = counts[argmax_elem[j]]
-    return radii, max_counts, argmax_elem, sizes.size
+    counts = np.empty((radii.size, n), dtype=np.int64)
+    # pair distances are elementwise, so row blocks of the pair matrix give
+    # the same counts with about ten block-sized float64 temporaries alive
+    rows = max(1, _AFFINE_BLOCK // n)
+    for r0 in range(0, n, rows):
+        pair = affine_metric(fam.elements[r0:r0 + rows, None, :], by_cell)
+        for j, r in enumerate(radii):
+            counts[j, r0:r0 + rows] = np.logical_or.reduceat(
+                pair <= r, starts, axis=1).sum(axis=1)
+    # the first maximum; each element's own cell makes every count >= 1
+    argmax_elem = np.argmax(counts, axis=1)
+    return radii, counts.max(axis=1), argmax_elem, sizes.size
 
 
 def _build_report(fam, s, variant, use_affine_metric):

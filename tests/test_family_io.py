@@ -99,10 +99,16 @@ class TestParseErrors:
         with pytest.raises(ValueError, match="not pairwise distinct"):
             read_family(tmp_family_path)
 
-    def test_validate_false_skips_member_checks(self, tmp_family_path):
-        self.write(tmp_family_path, "#points dim=2 delta=0.25\n0 0\n0 0\n")
-        fam = read_family(tmp_family_path, validate=False)
-        assert len(fam) == 2
+    @pytest.mark.parametrize("kind", ["points", "hyperplanes"])
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_coordinate_names_line(self, tmp_family_path, kind, token):
+        # float() reads every token; blank lines between rows keep the
+        # reported line the one in the file
+        self.write(tmp_family_path,
+                   f"\n#{kind} dim=2 delta=0.25\n0 0.5\n\n0.25 0\n\n\n0 {token}\n0.5 0.25\n")
+        with pytest.raises(ValueError) as err:
+            read_family(tmp_family_path)
+        assert str(err.value) == f"{tmp_family_path}:8: element 2: non-finite coordinate"
 
 
 class TestFamilyInvariants:

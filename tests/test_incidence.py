@@ -100,6 +100,20 @@ class TestOracle:
         with pytest.raises(ValueError, match="cdelta"):
             count_incidences_oracle(pts, pls, 0.0)
 
+    def test_unknown_mode_refused_by_both_counters(self):
+        """Refused before any counting: the pair whose plane rejects every
+        leaf, and empty families, never reach the predicate's own check."""
+        pts = construct_random("points", 2, 0.05, 40, seed=1)
+        far = Family(kind="hyperplanes", elements=np.array([[0.0, -0.9]]), delta=0.05, dim=2)
+        no_pts = Family(kind="points", elements=np.empty((0, 2)), delta=0.05, dim=2)
+        no_pls = Family(kind="hyperplanes", elements=np.empty((0, 2)), delta=0.05, dim=2)
+        assert count_incidences_fast(pts, far, 0.01).count == 0
+        for counter, fams in itertools.product(
+                (count_incidences_oracle, count_incidences_fast),
+                ((pts, far), (pts, no_pls), (no_pts, far))):
+            with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+                counter(*fams, 0.01, mode="bogus")
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_points_refused_by_both_counters(self, bad):
         pts = Family(kind="points", elements=np.array([[0.1, 0.2], [bad, 0.3]]),
@@ -227,7 +241,8 @@ class TestFastCounter:
     def test_accept_margin_at_the_box_edge(self, mode):
         """Two-point leaves whose box meets |psi(centre)| + spread <= thr
         in floating point although the oracle rejects one of the points:
-        only the accept-side margin keeps the leaf from being accepted whole."""
+        such a leaf always reaches the predicate, which counts only the
+        point it accepts."""
         rng = np.random.default_rng(11)
         found = 0
         for _ in range(5000):
@@ -397,10 +412,10 @@ class TestLatticeFamilies:
         )
         assert fast == oracle
 
-    def test_large_cdelta_accepts_subtrees_wholesale(self, monkeypatch):
-        """At cdelta = 16 delta with single-point leaves most incidences come
-        from accepted subtrees, not the leaf predicate, and the report is
-        still the oracle's."""
+    def test_large_cdelta_counts_only_predicate_hits(self, monkeypatch):
+        """At cdelta = 16 delta with single-point leaves, where many leaves
+        lie deep inside a slab, every incidence the fast counter reports is
+        a hit of the leaf predicate, and the report is the oracle's."""
         pts, pls, delta = _lattice_pair(3, 4, [4, 3, 4], seed=5, m=40)
         assert len(pls) < incidence.SWEEP_MIN_CLASS  # every plane walks the kd-tree
         oracle = count_incidences_oracle(pts, pls, 16 * delta)
@@ -414,7 +429,7 @@ class TestLatticeFamilies:
 
         monkeypatch.setattr(incidence, "incidence_mask", counting_mask)
         assert count_incidences_fast(pts, pls, 16 * delta, leaf_size=1) == oracle
-        assert sum(hits) < oracle.count // 2
+        assert sum(hits) == oracle.count
 
 
 def _product_planes(d, delta, slopes, sizes, rng, step_exp=0, signed_zeros=False):
@@ -603,6 +618,22 @@ class TestAnnuli:
         part = annulus_partition(fam, np.array([0.0, 0.0]))
         got = {i: sorted(int(j) for j in idx) for i, idx in part.buckets.items()}
         assert got == {0: [2], 1: [1], 2: [0], 4: [4]}
+
+    @pytest.mark.parametrize("delta", [2.0**-6, 0.1, 1 / 3, 0.0123456789, 0.7071])
+    def test_bucket_edges_are_exact(self, delta):
+        """Horizontal lines lie at affine distance |b| from y = 0, exactly:
+        at delta 2^i, one ulp either side and in between, every line lands
+        in the bucket whose half-open interval holds its distance."""
+        edges = delta * np.exp2(np.arange(-3, 12))
+        w = np.concatenate([edges, np.nextafter(edges, 0), np.nextafter(edges, np.inf),
+                            np.random.default_rng(1).uniform(0, edges[-1], 300)])
+        fam = Family(kind="hyperplanes", elements=np.column_stack([np.zeros(w.size), -w]),
+                     delta=delta, dim=2)
+        part = annulus_partition(fam, np.zeros(2))
+        assert sum(idx.size for idx in part.buckets.values()) == w.size
+        for i, idx in part.buckets.items():
+            low = delta * 2.0 ** (i - 1) if i else 0.0
+            assert ((low <= w[idx]) & (w[idx] < delta * 2.0**i)).all(), i
 
     def test_center_excluded_and_partition_complete(self):
         fam = construct_random("hyperplanes", 2, DELTA, 80, seed=6)

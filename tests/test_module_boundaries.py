@@ -1,5 +1,6 @@
 """No incgeom module reaches into another's private names: a helper that
-two modules share gets a public name in one home."""
+two modules share gets a public name in one home.  No module imports a
+name it never uses, and rows are deduplicated in one place."""
 
 import ast
 import pathlib
@@ -51,3 +52,42 @@ def test_the_check_sees_a_row_unique(tmp_path):
     bad = tmp_path / "bad.py"
     bad.write_text("import numpy as np\nnp.unique(x)\nnp.unique(x, axis=0, return_index=True)\n")
     assert list(_row_uniques(bad)) == ["bad.py:3"]
+
+
+def _unused_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+            for alias in node.names:
+                imported.setdefault(alias.asname or alias.name.split(".")[0], node.lineno)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):  # re-exports
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used |= set(ast.literal_eval(node.value))
+    for name, lineno in imported.items():
+        if name not in used and (path.name, name) not in _KEPT_IMPORTS:
+            yield f"{path.name}:{lineno}: {name}"
+
+
+# perfbench/tracing.py patches this name, so it stays although unused
+_KEPT_IMPORTS = {("regularity.py", "fftconvolve")}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert list(_unused_imports(path)) == []
+
+
+def test_the_check_sees_an_unused_import(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text("from __future__ import annotations\nimport os.path\nimport numpy as np\n"
+                   "from .geometry import MODES, fold_dot\n__all__ = ['MODES']\n"
+                   "from scipy.signal import fftconvolve\ndef f(x: np.ndarray):\n    return x\n")
+    assert list(_unused_imports(bad)) == ["bad.py:2: os", "bad.py:4: fold_dot",
+                                          "bad.py:6: fftconvolve"]
+    kept = tmp_path / "regularity.py"
+    kept.write_text("from scipy.signal import fftconvolve\n")
+    assert list(_unused_imports(kept)) == []

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -880,6 +881,26 @@ class TestAffineMetricVariant:
             for r, got_max, got_arg in zip(radii, max_counts, argmax):
                 counts = [len({tuple(c) for c in cells[row <= r]}) for row in pair]
                 assert (got_max, got_arg) == (max(counts), counts.index(max(counts)))
+
+    def test_row_blocks_give_the_unblocked_profile(self, monkeypatch):
+        fam = construct_random("hyperplanes", 3, 2.0**-3, 150, seed=2)
+        whole = regularity._affine_profile(fam)
+        for block in (1, 300, 1050):  # 1, 2 and 7 rows, the last block short
+            monkeypatch.setattr(regularity, "_AFFINE_BLOCK", block)
+            got = regularity._affine_profile(fam)
+            assert all(np.array_equal(a, b) for a, b in zip(got, whole))
+
+    def test_peak_memory_stays_at_the_row_block(self):
+        # the whole 2,000 x 2,000 pair matrix and its temporaries peak
+        # near 344 MiB
+        fam = construct_random("hyperplanes", 3, 2.0**-5, 2000, seed=1)
+        tracemalloc.start()
+        try:
+            regularity._affine_profile(fam)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 120 * 2**20
 
     def test_bounded_disagreement_on_random_planes(self):
         fam = construct_random("hyperplanes", 2, DELTA, 300, seed=9)
