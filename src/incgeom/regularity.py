@@ -28,11 +28,10 @@ path:
   such centre, and needs no grid.  The farthest corner of the cells'
   bounding box bounds a centre's farthest cell from above, and the extreme
   cells along the 2^d diagonal directions bound it from below, in exact
-  int64 squared distances (for boxes whose squared diagonal stays below
-  2^53, so that they are exact in float64 too).  The shortcut is taken
-  only when the first centre the upper bound passes comes after centres
-  that the lower bound all rule out, so its argmax is the one a full count
-  would pick;
+  int64 squared distances (for boxes under the 2^52 guard below, so that
+  they are exact in float64 too).  The shortcut is taken only when the
+  first centre the upper bound passes comes after centres that the lower
+  bound all rule out, so its argmax is the one a full count would pick;
 - stencil: a Euclidean scale whose lattice ball is small against its FFT
   grid is summed in exact integers.  The ball |o|^2 <= q splits into
   columns along the last axis, one per offset o' over the other axes with
@@ -52,6 +51,22 @@ path:
 - tree: a scale whose table or FFT grid would exceed DENSE_LIMIT cells is
   counted by a kd-tree, up to TREE_LIMIT occupied cells;
 - refusal: past both limits the profile raises ValueError.
+
+The grids count on the family's own lattice.  With g_k the gcd of the
+offsets along axis k (1 on an axis of one value), the offsets are g u, and
+the table, stencil and FFT grids, and DENSE_LIMIT and the stencil's cost
+rule, see u: a grid smaller by about prod g_k than the offsets' box, which
+the sharp points, on strides (4, 2, 1), fill one cell in eight.  A code-max
+box of reach R spans R // g_k steps of u along axis k.  The Euclidean ball
+is weighted, sum_k g_k^2 o_k^2 <= q, with the clip c_k = min(R // g_k,
+n_k - 1) on u's n_k cells, and the column and alias arguments above hold on
+u as they stand.  The full-ball shortcut and the tree measure the unscaled
+offsets.  The stride is taken only while dim (n - 1)^2 < 2^52, n the widest
+axis of the offsets' box: each g_k^2 o_k^2 is then at most (n_k - 1)^2, so
+q, clamped to sum_k g_k^2 c_k^2, and every weighted square stay exact in
+int64, float64 and the stencil's integer square roots.  The same guard
+keeps the shortcut's squared distances exact.  Past it g = 1, and a dense
+grid, within DENSE_LIMIT < 2^26 cells, bounds sum_k c_k^2 below 2^52.
 
 Hyperplane separation is exact at any size: embedded as (unit normal,
 normalised intercept), planes are no farther apart than in the affine
@@ -179,7 +194,9 @@ def _scale_radii(delta):
 def _box_counts(table, offsets, reach):
     """Code-max ball counts from a zero-led summed-area table (Crow 1984):
     one difference per axis over [i - reach, i + reach] clipped to the
-    grid, taken by inclusion-exclusion over the window's 2^d corners."""
+    grid, taken by inclusion-exclusion over the window's 2^d corners.
+    `reach` is a scalar or one value per axis; on a strided family it is
+    reach // g_k, the lattice steps within reach along axis k."""
     hi = np.minimum(offsets + reach + 1, np.asarray(table.shape) - 1)
     lo = np.maximum(offsets - reach, 0)
     counts = np.zeros(len(offsets), dtype=np.int64)
@@ -189,12 +206,12 @@ def _box_counts(table, offsets, reach):
     return counts
 
 
-def _ball_counts(offsets, q, clip, period):
+def _ball_counts(offsets, q, clip, weights, period):
     """Euclidean ball counts by a circular FFT convolution whose kernel is
-    the stencil's lattice ball, `_ball_columns(q, clip)`, wrapped around the
-    origin; a `period` of at least n_k + clip_k per axis keeps aliases out
-    (module docstring)."""
-    cols, halves = _ball_columns(q, clip, math.inf)
+    the stencil's lattice ball, `_ball_columns(q, clip, weights)`, wrapped
+    around the origin; a `period` of at least n_k + clip_k per axis keeps
+    aliases out (module docstring)."""
+    cols, halves = _ball_columns(q, clip, weights, math.inf)
     # one grid holds the occupancy, then the kernel: three grids live at once
     grid = np.zeros(period)
     grid[tuple(offsets.T)] = 1.0
@@ -219,30 +236,35 @@ def _ball_counts(offsets, q, clip, period):
 def _isqrt(x):
     """floor(sqrt(x)) of int64 values in [0, 2^52), exactly: such an x is
     exact in float64, and its correctly rounded root lies in [k, k + 1)
-    when x lies in [k^2, (k + 1)^2)."""
+    when x lies in [k^2, (k + 1)^2).  The profile's arguments are at most
+    q, clamped to sum_k g_k^2 clip_k^2, which the module docstring's guard
+    keeps below 2^52 on a strided family, and a dense grid on any other."""
     return np.sqrt(x.astype(np.float64)).astype(np.int64)
 
 
-def _ball_columns(q, clip, limit):
-    """The lattice ball |o|^2 <= q clipped to |o_k| <= clip_k, as columns
-    along the last axis: an (m, d - 1) array of offsets o' over the other
-    axes, and each column's half-length min(isqrt(q - |o'|^2), clip_d).
-    None, before the columns are built, when m would exceed `limit`.  Axis
-    by axis, each partial offset extends by every o_k with o_k^2 within the
-    rest of q, so no partial offset is built that holds no column.  Clips
-    stay below 2^26, as the grids they pad do."""
+def _ball_columns(q, clip, weights, limit):
+    """The weighted lattice ball sum_k w_k o_k^2 <= q clipped to |o_k| <=
+    clip_k, as columns along the last axis: an (m, d - 1) array of offsets
+    o' over the other axes, and each column's half-length isqrt(min(rest //
+    w_d, clip_d^2)), rest = q - sum_{k<d} w_k o_k^2.  None, before the
+    columns are built, when m would exceed `limit`.  Axis by axis, each
+    partial offset extends by every o_k with o_k^2 <= rest // w_k, so no
+    partial offset is built that holds no column.  The weights are the
+    squared strides g_k^2, so w_k o_k^2 is an unscaled squared distance;
+    every isqrt argument is at most q < 2^52 (module docstring), where
+    `_isqrt` is exact, and clips stay below 2^26, as the grids they pad do."""
     cols = np.zeros((1, 0), dtype=np.int64)
     rest = np.array([q], dtype=np.int64)
-    for c in clip[:-1]:
-        reach = _isqrt(np.minimum(rest, c * c))
+    for c, w in zip(clip[:-1], weights[:-1]):
+        reach = _isqrt(np.minimum(rest // w, c * c))
         width = 2 * reach + 1
         if width.sum() > limit:
             return None
         row = np.repeat(np.arange(len(cols)), width)
         o = np.arange(row.size) - np.repeat(np.cumsum(width) - width + reach, width)
         cols = np.column_stack([cols[row], o])
-        rest = rest[row] - o * o
-    return cols, _isqrt(np.minimum(rest, clip[-1] * clip[-1]))
+        rest = rest[row] - w * o * o
+    return cols, _isqrt(np.minimum(rest // weights[-1], clip[-1] * clip[-1]))
 
 
 def _prefix_grid(offsets, shape, pad, axes):
@@ -323,7 +345,9 @@ def _scale_profile(fam: Family):
     table or FFT grid would exceed DENSE_LIMIT cells; and a ValueError,
     raised before any count, when that tree would exceed TREE_LIMIT cells.
     The stencil scales share one prefix grid, padded for the largest of
-    them, and the code-max tree takes the table's reach as its radius."""
+    them, and the code-max tree takes the table's reach as its radius.  The
+    table, stencil and FFT grids hold u = offsets // g, the offsets on the
+    family's own lattice; the shortcut and the tree read the offsets."""
     if len(fam) == 0:
         raise ValueError("regularity profile of an empty family")
     delta = fam.delta
@@ -335,37 +359,50 @@ def _scale_profile(fam: Family):
     offsets = cells[first_idx]
     offsets -= offsets.min(axis=0)
     shape = offsets.max(axis=0) + 1
+    # while every squared distance within the offsets' box is below 2^52, so
+    # is every weighted square of the plan: exact in int64, float64 and _isqrt
+    exact = fam.dim * int(shape.max() - 1) ** 2 < 2**52
+    # the grids count u = offsets // g on the family's own lattice
+    stride = np.ones(fam.dim, dtype=np.int64)
+    if exact:
+        stride = np.maximum(np.gcd.reduce(offsets, axis=0), 1)
+    weights = stride * stride
+    u = offsets // stride
+    u_shape = (shape - 1) // stride + 1
 
     radii = _scale_radii(delta)
     corner2 = None
-    if metric == "euclidean" and fam.dim * int(shape.max() - 1) ** 2 < 2**53:
+    if metric == "euclidean" and exact:
         # each centre's squared distance to its farthest box corner, the
-        # shortcut's upper bound; past 2^53 squares are not exact in float64
+        # shortcut's upper bound
         corner2 = np.sum(np.maximum(offsets, shape - 1 - offsets) ** 2, axis=1)
     last = np.eye(fam.dim, dtype=np.int64)[-1]
+    # grid sizes are products of Python ints: an int64 product can wrap to
+    # a size that fits DENSE_LIMIT
+    table_cells = math.prod((u_shape + 1).tolist())
     plan = []
     for r in radii:
         ratio = r / delta
         reach = int(math.floor(ratio + 1e-9))
         if metric == "chebyshev":
-            step, dense, radius = ("table", reach), math.prod(shape + 1), reach
+            step, dense, radius = ("table", reach // stride), table_cells, reach
         else:
             q = math.floor(ratio * ratio)
             centre = None if corner2 is None else _full_ball_centre(offsets, corner2, q)
             if centre is not None:
                 plan.append(("full", centre))
                 continue
-            clip = np.minimum(reach, shape - 1)
-            # past sum(clip^2), q admits every clipped offset alike
-            q = min(q, int(np.sum(clip * clip)))
-            period = [next_fast_len(int(n + c)) for n, c in zip(shape, clip)]
+            clip = np.minimum(reach // stride, u_shape - 1)
+            # past sum(g^2 clip^2), q admits every clipped offset alike
+            q = min(q, int(np.sum(weights * clip * clip)))
+            period = [next_fast_len(int(n + c)) for n, c in zip(u_shape, clip)]
             fft_cells = math.prod(period)
-            step, dense, radius = ("fft", q, clip, period), fft_cells, ratio
-            stencil_cells = math.prod(shape + 2 * clip + last)
+            step, dense, radius = ("fft", q, clip, weights, period), fft_cells, ratio
+            stencil_cells = math.prod((u_shape + 2 * clip + last).tolist())
             if max(fft_cells, stencil_cells) <= DENSE_LIMIT:
                 budget = (fft_cells * math.log2(fft_cells)
                           / (_STENCIL_WEIGHT * (cover + _COLUMN_COST)))
-                columns = _ball_columns(q, clip, budget)
+                columns = _ball_columns(q, clip, weights, budget)
                 if columns is not None:
                     step, dense = ("stencil", clip, *columns), stencil_cells
         if dense <= DENSE_LIMIT:
@@ -381,11 +418,11 @@ def _scale_profile(fam: Family):
 
     table = tree = prefix = None
     if plan[0][0] == "table":
-        table, _ = _prefix_grid(offsets, shape, 0, range(fam.dim))
+        table, _ = _prefix_grid(u, u_shape, 0, range(fam.dim))
     stencils = sum(path == "stencil" for path, *_ in plan)
     if stencils:
         pad = np.max([clip for path, clip, *_ in plan if path == "stencil"], axis=0)
-        prefix, centres = _prefix_grid(offsets, shape, pad, [-1])
+        prefix, centres = _prefix_grid(u, u_shape, pad, [-1])
     max_counts = np.empty(radii.size, dtype=np.int64)
     argmax_elem = np.empty(radii.size, dtype=np.int64)
     for j, (path, *args) in enumerate(plan):
@@ -393,7 +430,7 @@ def _scale_profile(fam: Family):
             max_counts[j], argmax_elem[j] = cover, first_idx[args[0]]
             continue
         if path == "table":
-            counts = _box_counts(table, offsets, *args)
+            counts = _box_counts(table, u, *args)
         elif path == "stencil":
             counts = _stencil_counts(prefix, centres, *args[1:])
             stencils -= 1
@@ -401,7 +438,7 @@ def _scale_profile(fam: Family):
                 # free the grid before the larger scales' transforms
                 prefix = centres = None
         elif path == "fft":
-            counts = _ball_counts(offsets, *args)
+            counts = _ball_counts(u, *args)
         else:
             if tree is None:
                 tree = cKDTree(offsets.astype(np.float64))

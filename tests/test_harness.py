@@ -197,6 +197,10 @@ class TestSweep:
         assert d["failures"] == []
 
 
+def _digest(obj):
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
 def test_sharp_d3_report_matches_the_benchmark_reference():
     """The d=3, delta=2^-6 report hashes to the digests that
     `perfbench/reference.json` pins for the `sharp-d3-experiment` workload
@@ -205,9 +209,26 @@ def test_sharp_d3_report_matches_the_benchmark_reference():
     path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
     pinned = json.loads(path.read_text())["full"]["sharp"]
     report = run_experiment(ExperimentConfig(dim=3, delta=2.0**-6))
+    assert _digest(report.to_dict(include_timings=False)) == pinned["experiment_digest"]
+    assert _digest(report.incidence.to_dict()) == pinned["incidence_digest"]
 
-    def digest(obj):
-        return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
 
-    assert digest(report.to_dict(include_timings=False)) == pinned["experiment_digest"]
-    assert digest(report.incidence.to_dict()) == pinned["incidence_digest"]
+# sha256 of the sorted-key JSON of each timing-free sharp report, by (dim, k)
+# for delta = 2^-k
+_SHARP_DIGESTS = {
+    (2, 6): "048e6742e7e14ea6b49138e175f62a7e77981c4d99ffb375fa44be8a47529da1",
+    (2, 7): "36d0f4a2ffe4c1c39b4f398082819798a792bbcdbfd36dc326101c17856d3043",
+    (2, 8): "7880a6885e5b62d0f75e41372379ee23d1228b2954f6a477fee0b2048b23a0e2",
+    (3, 5): "83dd46b7e56a7a22c72bb2d25798bf770d784cfe72b4bc6770d6575ca8bd2513",
+    (3, 6): "2ba86b35e7d7a719c7e0d5a43ca41b5fd489308fcab7ff0552ba9dfc8f13b787",
+    (3, 7): "73ed0703082921653a8dfd05a9c2b84c5dcaea052a90934aeaf41033993ebb1d",
+}
+
+
+@pytest.mark.parametrize("dim,k", sorted(_SHARP_DIGESTS))
+def test_sharp_reports_are_pinned(dim, k):
+    """The sharp pairs of the north star's workloads hash to pinned digests,
+    so a fast path that changes any count, histogram or regularity profile
+    fails here."""
+    report = run_experiment(ExperimentConfig(dim=dim, delta=2.0**-k))
+    assert _digest(report.to_dict(include_timings=False)) == _SHARP_DIGESTS[dim, k]

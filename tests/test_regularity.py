@@ -488,31 +488,47 @@ class TestProfileMatchesLinearFFT:
                 _assert_matches_reference(fam)
 
 
+# cell sets on a lattice with a stride of 1 to 5 per axis
 _CELL_SETS = st.integers(2, 4).flatmap(
-    lambda d: st.lists(
-        st.tuples(*[st.integers(-6, 6)] * d), min_size=1, max_size=40, unique=True
+    lambda d: st.tuples(
+        st.lists(st.tuples(*[st.integers(-6, 6)] * d), min_size=1, max_size=40, unique=True),
+        st.tuples(*[st.integers(1, 5)] * d),
     )
 )
 
 
-@given(cells=_CELL_SETS)
-@settings(max_examples=60, deadline=None)
-def test_counts_equal_brute_force_pairs(cells):
-    delta = 2.0**-3
-    cells = np.array(cells, dtype=np.int64)
-    for fam in _both_kinds((cells + 0.5) * delta, delta=delta):
-        uniq = np.unique(np.floor(regularity.measurement_coordinates(fam) / delta), axis=0)
-        diff = uniq[:, None, :] - uniq[None, :, :]
-        (radii, _, _, cover), counts = _profile_and_counts(fam)
-        assert cover == len(uniq) == len(cells)
+def _assert_counts_equal_brute_force(fam):
+    """Per-cell counts at every scale, with the full-ball shortcut held off,
+    against the brute-force pair counts of the family's cells: as planned,
+    with every scale whose grids fit sent to the stencil, and with the
+    stencil held off."""
+    cells = np.floor(regularity.measurement_coordinates(fam) / fam.delta).astype(np.int64)
+    uniq = _distinct(cells)
+    diff = uniq[:, None, :] - uniq[None, :, :]
+    for weight in (regularity._STENCIL_WEIGHT, 1e-9, math.inf):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(regularity, "_STENCIL_WEIGHT", weight)
+            (radii, _, _, cover), counts = _profile_and_counts(fam)
+        assert cover == len(uniq)
         assert len(counts) == radii.size
         for r, got in zip(radii, counts):
-            ratio = r / delta
+            ratio = r / fam.delta
             if fam.kind == "points":
                 within = np.sum(diff * diff, axis=-1) <= ratio * ratio
             else:
                 within = np.max(np.abs(diff), axis=-1) <= math.floor(ratio + 1e-9)
             assert np.array_equal(got, within.sum(axis=1))
+
+
+@given(cells_and_stride=_CELL_SETS)
+@settings(max_examples=60, deadline=None)
+def test_counts_equal_brute_force_pairs(cells_and_stride):
+    cells, stride = cells_and_stride
+    delta = 2.0**-3
+    cells = np.array(cells, dtype=np.int64) * np.array(stride)
+    for fam in _both_kinds((cells + 0.5) * delta, delta=delta):
+        assert regularity._scale_profile(fam)[3] == len(cells)
+        _assert_counts_equal_brute_force(fam)
 
 
 def _brute_force_counts(offsets, ratio):
@@ -525,7 +541,7 @@ def _stencil(offsets, ratio):
     shape = offsets.max(axis=0) + 1
     clip = np.minimum(int(math.floor(ratio + 1e-9)), shape - 1)
     q = math.floor(min(ratio * ratio, int(np.sum(clip * clip))))
-    cols, halves = regularity._ball_columns(q, clip, math.inf)
+    cols, halves = regularity._ball_columns(q, clip, np.ones_like(clip), math.inf)
     prefix, centres = regularity._prefix_grid(offsets, shape, clip, [-1])
     return regularity._stencil_counts(prefix, centres, cols, halves)
 
@@ -550,21 +566,24 @@ def test_isqrt_is_exact_below_two_to_the_52():
 @pytest.mark.parametrize("ratio", [1.0, 1.5, 2.0, 2.5, 4.0, 5.0, 7.9]
                          + [1.0 / delta for delta in _ULP_BELOW.values()])
 def test_ball_columns_are_the_fft_kernel(d, ratio):
-    # the columns, unrolled, are the clipped kernel's `dist2 <= ratio * ratio`
-    # cells, with the clip at the reach and below it on some axes
+    # the columns, unrolled, are the clipped kernel's cells o with
+    # `|g o|^2 <= ratio * ratio`, for unit strides g and for strides
+    # (1, 2, 3, 1), with the clip at reach // g and below it on some axes
     reach = int(math.floor(ratio + 1e-9))
-    for clip in (np.full(d, reach), np.minimum(reach, np.arange(d) + 2)):
-        axes = np.meshgrid(*[np.arange(-c, c + 1) for c in clip], indexing="ij")
-        cells = np.stack(axes, -1).reshape(-1, d)
-        dist2 = np.sum(cells.astype(np.float64) ** 2, axis=1)
-        want = {tuple(o) for o in cells[dist2 <= ratio * ratio]}
-        q = math.floor(min(ratio * ratio, int(np.sum(clip * clip))))
-        cols, halves = regularity._ball_columns(q, clip, math.inf)
-        assert cols.dtype == halves.dtype == np.int64
-        got = [(*o, h) for o, hh in zip(cols, halves) for h in range(-hh, hh + 1)]
-        assert len(got) == len(want) and set(got) == want
-        assert regularity._ball_columns(q, clip, len(cols)) is not None
-        assert regularity._ball_columns(q, clip, len(cols) - 1) is None
+    for stride in (np.ones(d, dtype=np.int64), np.array([1, 2, 3, 1])[:d]):
+        weights = stride * stride
+        for clip in (reach // stride, np.minimum(reach // stride, np.arange(d) + 2)):
+            axes = np.meshgrid(*[np.arange(-c, c + 1) for c in clip], indexing="ij")
+            cells = np.stack(axes, -1).reshape(-1, d)
+            dist2 = np.sum((cells * stride).astype(np.float64) ** 2, axis=1)
+            want = {tuple(o) for o in cells[dist2 <= ratio * ratio]}
+            q = math.floor(min(ratio * ratio, int(np.sum(weights * clip * clip))))
+            cols, halves = regularity._ball_columns(q, clip, weights, math.inf)
+            assert cols.dtype == halves.dtype == np.int64
+            got = [(*o, h) for o, hh in zip(cols, halves) for h in range(-hh, hh + 1)]
+            assert len(got) == len(want) and set(got) == want
+            assert regularity._ball_columns(q, clip, weights, len(cols)) is not None
+            assert regularity._ball_columns(q, clip, weights, len(cols) - 1) is None
 
 
 def _distinct(cells):
@@ -643,10 +662,12 @@ def test_ratio_one_ulp_below_an_integer(k, monkeypatch):
 
 def test_sharp_profile_mixes_stencil_and_fft(monkeypatch):
     # d = 3, delta = 2^-6: the small scales take the stencil, the larger ones
-    # the FFT, and the profile is the FFT-only one with the rule held off
+    # the FFT, and the profile is the FFT-only one with the rule held off.
+    # The grids are counted on the points' (4, 2, 1) lattice, about an eighth
+    # of their box, so the cost rule already sends ratio 4 to the FFT
     points, _ = construct_sharp(ConstructionSpec(d=3, delta=2.0**-6, s=1.75, t=1.75))
     _, _, paths = _profile_paths(points)
-    assert paths == ["stencil"] * 3 + ["fft"] * 4
+    assert paths == ["stencil"] * 2 + ["fft"] * 5
     got = regularity._scale_profile(points)
     monkeypatch.setattr(regularity, "_STENCIL_WEIGHT", math.inf)
     assert _profile_paths(points)[2] == ["fft"] * 7
@@ -696,7 +717,8 @@ def test_fft_counts_that_round_wrong_raise(value, monkeypatch):
     monkeypatch.setattr(regularity, "irfftn", lambda spectrum, period: np.full(period, value))
     offsets = np.array([[0, 0, 0], [1, 2, 0], [3, 0, 1]])
     with pytest.raises(FloatingPointError, match="0.25 of positive integers"):
-        regularity._ball_counts(offsets, 2.0, np.array([2, 2, 1]), [6, 5, 3])
+        regularity._ball_counts(offsets, 2.0, np.array([2, 2, 1]), np.ones(3, dtype=np.int64),
+                                [6, 5, 3])
 
 
 def _shortcut_off_profile(fam):
@@ -800,6 +822,152 @@ def test_boxes_past_exact_squares_take_the_other_paths():
     got = regularity._scale_profile(fam)
     _assert_same_profile(got, _shortcut_off_profile(fam))
     assert list(got[1][:3]) == [2, 2, 2] and got[1][-1] == 3
+
+
+def _lattices_counted(fam):
+    """The per-axis strides of the cells each prefix grid and FFT grid is
+    built on, with the full-ball shortcut held off: the box's span over the
+    span of those cells, and 1 on a one-value axis."""
+    strides = []
+    cells = np.floor(regularity.measurement_coordinates(fam) / fam.delta).astype(np.int64)
+    span = np.ptp(cells, axis=0)
+    with pytest.MonkeyPatch.context() as mp:
+        _hold_full_ball_off(mp)
+        for name in ("_prefix_grid", "_ball_counts"):
+            real = getattr(regularity, name)
+
+            def record(u, *args, _real=real):
+                strides.append(np.where(span > 0, span // np.maximum(np.ptp(u, axis=0), 1), 1))
+                return _real(u, *args)
+
+            mp.setattr(regularity, name, record)
+        regularity._scale_profile(fam)
+    return strides
+
+
+def _strided_cells(stride, n, width, seed):
+    return _random_cells(len(stride), n, width, seed) * np.array(stride)
+
+
+@pytest.mark.parametrize("stride,delta", [((2, 3), DELTA), ((5, 2), DELTA), ((3, 4, 5), 2.0**-4),
+                                          ((2, 5, 1), 2.0**-4), ((4, 3, 2, 5), 2.0**-3)])
+def test_strided_cells_equal_brute_force(stride, delta):
+    # scattered cells with strides 2-5 mixed per axis, as points and as
+    # planes; the d = 4 case stays at delta = 2^-3 for the reference's sake
+    cells = _strided_cells(stride, 150, {2: 12, 3: 6, 4: 4}[len(stride)], seed=sum(stride))
+    for fam in _both_kinds((cells + 0.5) * delta, delta=delta):
+        _assert_counts_equal_brute_force(fam)
+        _assert_matches_reference(fam)
+        lattices = _lattices_counted(fam)
+        assert lattices and all(np.array_equal(g, stride) for g in lattices)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_one_value_axis_beside_a_strided_axis(d):
+    # the one-value axis has gcd 0 and counts with g = 1; the others keep
+    # their strides 3 and 2
+    cells = _strided_cells((3, 1, 2)[:d], 120, 12, seed=d)
+    cells[:, 1] = 7
+    cells = _distinct(cells)
+    for fam in _both_kinds((cells + 0.5) * DELTA):
+        _assert_counts_equal_brute_force(fam)
+        _assert_matches_reference(fam)
+        assert all(np.array_equal(g, (3, 1, 2)[:d]) for g in _lattices_counted(fam))
+
+
+def test_stride_that_appears_after_the_shift():
+    # cells 3 + 4k and -5 + 6k have gcd 1 as they stand, and strides 4 and
+    # 6 once the least cell is subtracted
+    k = _random_cells(2, 80, 10, seed=11)
+    cells = np.column_stack([3 + 4 * k[:, 0], -5 + 6 * k[:, 1]])
+    assert np.array_equal(np.gcd.reduce(cells, axis=0), [1, 1])
+    for fam in _both_kinds((cells + 0.5) * DELTA):
+        _assert_counts_equal_brute_force(fam)
+        _assert_matches_reference(fam)
+        assert all(np.array_equal(g, [4, 6]) for g in _lattices_counted(fam))
+
+
+def test_cells_on_the_weighted_sphere(monkeypatch):
+    # strides (3, 4, 5) at delta = 0.2, so q = 25 at r = 1: from the origin
+    # (3, 4, 0), (-3, -4, 0) and (0, 0, 5) lie on the sphere |G o|^2 = 25 and
+    # (3, 0, 5), at 34, on the next lattice shell past it; at r = 0.8, q =
+    # 16 and (0, 4, 0) lies on the sphere
+    delta = 0.2
+    u = np.array([[0, 0, 0], [1, 1, 0], [0, 0, 1], [1, 0, 1], [2, 0, 0], [1, 1, 1],
+                  [0, 1, 0], [-1, -1, 0], [0, 2, 1], [0, -1, -1]])
+    cells = u * np.array([3, 4, 5])
+    fam = _points((cells + 0.5) * delta, delta)
+    _assert_counts_equal_brute_force(fam)
+    assert set(_profile_paths(fam)[2]) == {"fft"}
+    _force_stencil(monkeypatch)
+    (radii, _, _, _), counts, paths = _profile_paths(fam)
+    assert list(radii[-2:] / delta) == [4.0, 5.0] and paths[-2:] == ["stencil"] * 2
+    origin = int(np.flatnonzero(np.all(_distinct(cells) == 0, axis=1))[0])
+    assert [counts[-2][origin], counts[-1][origin]] == [2, 5]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_code_max_table_takes_a_reach_per_axis(d):
+    # at delta = 2^-5 the sharp planes' code cells lie on strides (1, 2) and
+    # (1, 2, 0): the table is built on u, and a box of reach R spans R // g_k
+    # steps of u
+    _, planes = construct_sharp(ConstructionSpec(d=d, delta=2.0**-5, s=1.75, t=1.75))
+    reaches = []
+    real = regularity._box_counts
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(regularity, "_box_counts",
+                   lambda table, u, reach: reaches.append(reach) or real(table, u, reach))
+        regularity._scale_profile(planes)
+    assert [list(r) for r in reaches] == [[2**j, 2**j // 2, 2**j][:d] for j in range(6)]
+    _assert_counts_equal_brute_force(planes)
+
+
+def test_lattice_grids_fit_where_the_box_does_not(monkeypatch):
+    # a 9 x 9 grid of points 128 cells apart: its box spans 1025^2 cells, its
+    # lattice 9^2, so with room for neither the box nor a tree every scale
+    # is still counted, and gives the tree's profile
+    fam = construct_grid(2, 2.0**-10, (2.0**-3, 2.0**-3))
+    monkeypatch.setattr(regularity, "DENSE_LIMIT", 1)
+    want = regularity._scale_profile(fam)
+    monkeypatch.setattr(regularity, "DENSE_LIMIT", 1000)
+    monkeypatch.setattr(regularity, "TREE_LIMIT", 1)
+    _assert_same_profile(regularity._scale_profile(fam), want)
+    _assert_same_profile(_shortcut_off_profile(fam), want)
+
+
+# 2 * _EDGE^2 < 2^52 <= 2 * (_EDGE + 1)^2
+_EDGE = math.isqrt(2**51 - 1)
+
+
+@pytest.mark.parametrize("span,paths", [(_EDGE, {"fft"}), (_EDGE + 1, {"tree"})])
+def test_stride_needs_exact_weighted_squares(span, paths):
+    # cells (0, 0), (s, 0) and (s, 1) at delta = 2^-26 lie on strides (s, 1),
+    # whose 2 x 2 lattice grid fits every dense path.  While 2 s^2 < 2^52 the
+    # stride is taken, and at r = 1 q clamps to s^2 + 1, the weighted square
+    # of (s, 1) from the origin; one step past, the grid spans the s + 1
+    # cells and the tree counts
+    delta = 2.0**-26
+    cells = np.array([[0, 0], [span, 0], [span, 1]])
+    fam = _points((cells + 0.5) * delta, delta)
+    assert (2 * span**2 < 2**52) == (span == _EDGE)
+    (radii, _, _, _), counts, got_paths = _profile_paths(fam)
+    assert set(got_paths) == paths
+    for r, got in zip(radii, counts):
+        assert np.array_equal(got, _brute_force_counts(cells, r / delta))
+    assert [list(c) for c in counts[-2:]] == [[1, 2, 2], [3, 3, 3]]
+    _assert_same_profile(regularity._scale_profile(fam), _shortcut_off_profile(fam))
+
+
+def test_grid_sizes_do_not_wrap():
+    # code cells spanning 2^32 - 1 cells on two axes: the table would hold
+    # 2^32 x 2^32 x 2 cells, 2^65, which wraps to 0 in int64
+    delta = 2.0**-32
+    cells = np.array([[0, 0, 0], [2**32 - 2, 0, 0], [0, 2**32 - 2, 0]])
+    fam = _planes(np.roll((cells + 0.5) * delta - 0.5, -1, axis=1), delta)
+    assert np.array_equal(np.ptp(np.floor(code_coordinates(fam.elements) / delta), axis=0),
+                          [2**32 - 2, 2**32 - 2, 0])
+    radii, counts, _, cover = regularity._scale_profile(fam)
+    assert cover == 3 and list(counts) == [1] * (radii.size - 1) + [3]
 
 
 def _brute_force_separation(pts):
