@@ -44,6 +44,9 @@ class ExperimentConfig:
         if not self.C > 0:
             raise ValueError(f"C must be positive, got {self.C!r}")
         require_int("workers", self.workers)
+        for name, v in (("s", self.s), ("t", self.t)):
+            if not 0.0 <= v <= self.dim:
+                raise ValueError(f"exponent {name} must lie in [0, {self.dim}], got {v}")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}; expected one of {MODES}")
         if self.counter not in ("fast", "oracle"):

@@ -267,19 +267,12 @@ def _sweep_class(distinct, first, mult, kept, pts, coeffs, norms, thresholds,
     # s = fold(a, p) - p_d, bit for bit as in slab_offsets (the + 0.0
     # intercept is exact); dropped coordinates would only have added zeros
     s = slab_offsets(distinct, np.append(coeffs[planes[0], kept], 0.0))
-    # np.unique(s) by hand, with int64 weights and an unstable sort: points
-    # with equal s get equal verdicts, so any of them can stand for the rest
-    order = np.argsort(s)
-    ss = s[order]
-    new = np.empty(ss.size, dtype=bool)
-    new[0] = True
-    np.not_equal(ss[1:], ss[:-1], out=new[1:])
-    starts = np.flatnonzero(new)
-    values = ss[starts]
-    weight = np.add.reduceat(mult[order], starts)
-    rep = first[order[starts]]
-    s_inv = np.empty(ss.size, dtype=np.int64)
-    s_inv[order] = np.cumsum(new) - 1
+    # points with equal s share one verdict, so the first of them stands for
+    # the rest, with their multiplicities summed in exact int64
+    at, s_inv, _ = distinct_rows(s[:, None])
+    values, rep = s[at], first[at]
+    weight = np.zeros(values.size, dtype=np.int64)
+    np.add.at(weight, s_inv, mult)
 
     b = coeffs[planes, -1]
     thr = thresholds[planes]

@@ -153,8 +153,8 @@ def min_separation(fam: Family) -> float:
     Planes embed as (unit normal, normalised intercept) vectors x, and
     sqrt(a^2 + b^2) <= a + b <= sqrt(2 (a^2 + b^2)) gives |x - x'| <= d_A <=
     sqrt(2) |x - x'|: the pairs within sqrt(2) times the least embedded
-    distance, widened by `CANDIDATE_MARGIN`, hold the minimum, and d_A is
-    evaluated on those alone."""
+    distance, widened by `CANDIDATE_MARGIN`, hold the minimum, and
+    `geometry.affine_metric` is evaluated on those alone."""
     n = len(fam)
     if n < 2:
         return math.inf
@@ -175,10 +175,7 @@ def min_separation(fam: Family) -> float:
     dist, _ = tree.query(tree.data, k=2, workers=-1)
     reach = math.sqrt(2.0) * float(dist[:, 1].min()) * (1.0 + CANDIDATE_MARGIN)
     i, j = tree.query_pairs(reach, output_type="ndarray").T
-    # the reference scan's d_A expression, so the two agree bit for bit
-    diff = normals[i] - normals[j]
-    normal_part = root_sum_squares(np.sum(diff * diff, axis=-1), lambda: diff)
-    return float((normal_part + np.abs(verts[i] - verts[j])).min())
+    return float(affine_metric(fam.elements[i], fam.elements[j]).min())
 
 
 def _scale_radii(delta):
@@ -206,12 +203,11 @@ def _box_counts(table, offsets, reach):
     return counts
 
 
-def _ball_counts(offsets, q, clip, weights, period):
+def _ball_counts(offsets, cols, halves, period):
     """Euclidean ball counts by a circular FFT convolution whose kernel is
-    the stencil's lattice ball, `_ball_columns(q, clip, weights)`, wrapped
-    around the origin; a `period` of at least n_k + clip_k per axis keeps
-    aliases out (module docstring)."""
-    cols, halves = _ball_columns(q, clip, weights, math.inf)
+    the stencil's lattice ball, the columns `cols` of half-lengths `halves`
+    that `_ball_columns` built, wrapped around the origin; a `period` of at
+    least n_k + clip_k per axis keeps aliases out (module docstring)."""
     # one grid holds the occupancy, then the kernel: three grids live at once
     grid = np.zeros(period)
     grid[tuple(offsets.T)] = 1.0
@@ -242,24 +238,22 @@ def _isqrt(x):
     return np.sqrt(x.astype(np.float64)).astype(np.int64)
 
 
-def _ball_columns(q, clip, weights, limit):
+def _ball_columns(q, clip, weights):
     """The weighted lattice ball sum_k w_k o_k^2 <= q clipped to |o_k| <=
     clip_k, as columns along the last axis: an (m, d - 1) array of offsets
     o' over the other axes, and each column's half-length isqrt(min(rest //
-    w_d, clip_d^2)), rest = q - sum_{k<d} w_k o_k^2.  None, before the
-    columns are built, when m would exceed `limit`.  Axis by axis, each
-    partial offset extends by every o_k with o_k^2 <= rest // w_k, so no
-    partial offset is built that holds no column.  The weights are the
-    squared strides g_k^2, so w_k o_k^2 is an unscaled squared distance;
-    every isqrt argument is at most q < 2^52 (module docstring), where
-    `_isqrt` is exact, and clips stay below 2^26, as the grids they pad do."""
+    w_d, clip_d^2)), rest = q - sum_{k<d} w_k o_k^2: the stencil's columns
+    and the FFT's kernel.  Axis by axis, each partial offset extends by
+    every o_k with o_k^2 <= rest // w_k, so no partial offset is built that
+    holds no column.  The weights are the squared strides g_k^2, so w_k
+    o_k^2 is an unscaled squared distance; every isqrt argument is at most
+    q < 2^52 (module docstring), where `_isqrt` is exact, and clips stay
+    below 2^26, as the grids they pad do."""
     cols = np.zeros((1, 0), dtype=np.int64)
     rest = np.array([q], dtype=np.int64)
     for c, w in zip(clip[:-1], weights[:-1]):
         reach = _isqrt(np.minimum(rest // w, c * c))
         width = 2 * reach + 1
-        if width.sum() > limit:
-            return None
         row = np.repeat(np.arange(len(cols)), width)
         o = np.arange(row.size) - np.repeat(np.cumsum(width) - width + reach, width)
         cols = np.column_stack([cols[row], o])
@@ -344,10 +338,11 @@ def _scale_profile(fam: Family):
     columns <= P log2 P, else the circular FFT; a kd-tree for a scale whose
     table or FFT grid would exceed DENSE_LIMIT cells; and a ValueError,
     raised before any count, when that tree would exceed TREE_LIMIT cells.
-    The stencil scales share one prefix grid, padded for the largest of
-    them, and the code-max tree takes the table's reach as its radius.  The
-    table, stencil and FFT grids hold u = offsets // g, the offsets on the
-    family's own lattice; the shortcut and the tree read the offsets."""
+    A scale whose FFT grid fits builds its ball columns once, in the plan,
+    for whichever of the stencil and the FFT counts it.  The code-max tree
+    takes the table's reach as its radius.  The table, stencil and FFT
+    grids hold u = offsets // g, the offsets on the family's own lattice;
+    the shortcut and the tree read the offsets."""
     if len(fam) == 0:
         raise ValueError("regularity profile of an empty family")
     delta = fam.delta
@@ -396,15 +391,14 @@ def _scale_profile(fam: Family):
             # past sum(g^2 clip^2), q admits every clipped offset alike
             q = min(q, int(np.sum(weights * clip * clip)))
             period = [next_fast_len(int(n + c)) for n, c in zip(u_shape, clip)]
-            fft_cells = math.prod(period)
-            step, dense, radius = ("fft", q, clip, weights, period), fft_cells, ratio
-            stencil_cells = math.prod((u_shape + 2 * clip + last).tolist())
-            if max(fft_cells, stencil_cells) <= DENSE_LIMIT:
-                budget = (fft_cells * math.log2(fft_cells)
-                          / (_STENCIL_WEIGHT * (cover + _COLUMN_COST)))
-                columns = _ball_columns(q, clip, weights, budget)
-                if columns is not None:
-                    step, dense = ("stencil", clip, *columns), stencil_cells
+            dense, radius = math.prod(period), ratio
+            if dense <= DENSE_LIMIT:
+                cols, halves = _ball_columns(q, clip, weights)
+                step = ("fft", cols, halves, period)
+                if (math.prod((u_shape + 2 * clip + last).tolist()) <= DENSE_LIMIT
+                        and _STENCIL_WEIGHT * (cover + _COLUMN_COST) * len(cols)
+                        <= dense * math.log2(dense)):
+                    step = ("stencil", clip, cols, halves)
         if dense <= DENSE_LIMIT:
             plan.append(step)
         elif cover <= TREE_LIMIT:
@@ -416,13 +410,7 @@ def _scale_profile(fam: Family):
                 f"cells, over DENSE_LIMIT={DENSE_LIMIT})"
             )
 
-    table = tree = prefix = None
-    if plan[0][0] == "table":
-        table, _ = _prefix_grid(u, u_shape, 0, range(fam.dim))
-    stencils = sum(path == "stencil" for path, *_ in plan)
-    if stencils:
-        pad = np.max([clip for path, clip, *_ in plan if path == "stencil"], axis=0)
-        prefix, centres = _prefix_grid(u, u_shape, pad, [-1])
+    table = tree = None
     max_counts = np.empty(radii.size, dtype=np.int64)
     argmax_elem = np.empty(radii.size, dtype=np.int64)
     for j, (path, *args) in enumerate(plan):
@@ -430,13 +418,12 @@ def _scale_profile(fam: Family):
             max_counts[j], argmax_elem[j] = cover, first_idx[args[0]]
             continue
         if path == "table":
+            if table is None:
+                table, _ = _prefix_grid(u, u_shape, 0, range(fam.dim))
             counts = _box_counts(table, u, *args)
         elif path == "stencil":
-            counts = _stencil_counts(prefix, centres, *args[1:])
-            stencils -= 1
-            if not stencils:
-                # free the grid before the larger scales' transforms
-                prefix = centres = None
+            clip, cols, halves = args
+            counts = _stencil_counts(*_prefix_grid(u, u_shape, clip, [-1]), cols, halves)
         elif path == "fft":
             counts = _ball_counts(u, *args)
         else:

@@ -133,6 +133,16 @@ class TestCount:
         assert out == ""
         assert "error:" in err
 
+    @pytest.mark.parametrize("flag,value", [("--s", "7"), ("--t", "-3")])
+    def test_exponent_out_of_range_is_an_error(self, sharp_files, capsys, flag, value):
+        # a file pair's profile would take it; the config refuses it first
+        pts, pls = sharp_files
+        code, out, err = run(capsys, "count", "--delta", D5, "--points", pts,
+                             "--planes", pls, flag, value)
+        assert code == 1
+        assert out == ""
+        assert f"error: exponent {flag[2:]} must lie in [0, 2], got {float(value)}" in err
+
     @pytest.mark.parametrize("counter", ["fast", "oracle"])
     def test_zero_workers_is_an_error(self, sharp_files, capsys, counter):
         pts, pls = sharp_files

@@ -41,6 +41,12 @@ class TestConfig:
         with pytest.raises(ValueError, match="workers"):
             ExperimentConfig(workers=0)
 
+    @pytest.mark.parametrize("dim,name,value", [(2, "s", 7.0), (2, "t", -3.0), (3, "s", 3.5),
+                                                (3, "t", float("nan"))])
+    def test_rejects_exponents_outside_zero_to_dim(self, dim, name, value):
+        with pytest.raises(ValueError, match=rf"exponent {name} must lie in \[0, {dim}\]"):
+            ExperimentConfig(dim=dim, **{name: value})
+
     @pytest.mark.parametrize("C", [0.0, -1.0, float("nan")])
     def test_rejects_nonpositive_C(self, C):
         with pytest.raises(ValueError, match="C must be positive"):

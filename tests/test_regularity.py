@@ -11,7 +11,7 @@ from incgeom import regularity
 from incgeom.constructions import (ConstructionSpec, construct_grid,
                                    construct_random, construct_sharp)
 from incgeom.family import Family
-from incgeom.geometry import affine_metric, code_coordinates, distinct_rows, unit_normal_norms
+from incgeom.geometry import affine_metric, code_coordinates, distinct_rows
 from incgeom.regularity import (best_dimension, covering_number,
                                 katz_tao_constant, min_separation,
                                 regularity_constant)
@@ -83,22 +83,15 @@ class TestMinSeparation:
 
 
 def _pairwise_scan(fam):
-    """The blocked O(n^2) affine-metric scan `min_separation` once ran for
-    hyperplanes; the kd-tree search must return its value bit for bit."""
+    """The least `affine_metric` over all pairs, by a blocked O(n^2) scan:
+    the library's d_A, which the kd-tree search must return bit for bit."""
     n = len(fam)
     coeffs = fam.elements
-    norms = unit_normal_norms(coeffs)
-    normals = np.concatenate([coeffs[:, :-1], np.full((n, 1), -1.0)], axis=1)
-    normals = normals / norms[:, None]
-    verts = coeffs[:, -1] / norms
-    block = max(1, (1 << 24) // (n * fam.dim))
+    block = max(1, (1 << 20) // n)
     best = math.inf
     for i0 in range(0, n, block):
-        i1 = min(i0 + block, n)
-        diff = normals[i0:i1, None, :] - normals[None, :, :]
-        total = np.sqrt(np.sum(diff * diff, axis=-1))
-        total += np.abs(verts[i0:i1, None] - verts[None, :])
-        rows = np.arange(i1 - i0)
+        total = affine_metric(coeffs[i0:i0 + block, None, :], coeffs[None, :, :])
+        rows = np.arange(total.shape[0])
         total[rows, i0 + rows] = math.inf
         best = min(best, float(total.min()))
     return best
@@ -541,7 +534,7 @@ def _stencil(offsets, ratio):
     shape = offsets.max(axis=0) + 1
     clip = np.minimum(int(math.floor(ratio + 1e-9)), shape - 1)
     q = math.floor(min(ratio * ratio, int(np.sum(clip * clip))))
-    cols, halves = regularity._ball_columns(q, clip, np.ones_like(clip), math.inf)
+    cols, halves = regularity._ball_columns(q, clip, np.ones_like(clip))
     prefix, centres = regularity._prefix_grid(offsets, shape, clip, [-1])
     return regularity._stencil_counts(prefix, centres, cols, halves)
 
@@ -578,12 +571,10 @@ def test_ball_columns_are_the_fft_kernel(d, ratio):
             dist2 = np.sum((cells * stride).astype(np.float64) ** 2, axis=1)
             want = {tuple(o) for o in cells[dist2 <= ratio * ratio]}
             q = math.floor(min(ratio * ratio, int(np.sum(weights * clip * clip))))
-            cols, halves = regularity._ball_columns(q, clip, weights, math.inf)
+            cols, halves = regularity._ball_columns(q, clip, weights)
             assert cols.dtype == halves.dtype == np.int64
             got = [(*o, h) for o, hh in zip(cols, halves) for h in range(-hh, hh + 1)]
             assert len(got) == len(want) and set(got) == want
-            assert regularity._ball_columns(q, clip, weights, len(cols)) is not None
-            assert regularity._ball_columns(q, clip, weights, len(cols) - 1) is None
 
 
 def _distinct(cells):
@@ -674,6 +665,32 @@ def test_sharp_profile_mixes_stencil_and_fft(monkeypatch):
     _assert_same_profile(got, regularity._scale_profile(points))
 
 
+def test_ball_columns_are_built_once_per_scale(monkeypatch):
+    # the plan builds each non-full scale's columns once, for the stencil or
+    # the FFT alike, and only where its FFT grid fits: a tree scale builds none
+    calls, centres = [], []
+    real_columns, real_centre = regularity._ball_columns, regularity._full_ball_centre
+    monkeypatch.setattr(regularity, "_ball_columns",
+                        lambda *args: calls.append(1) or real_columns(*args))
+    points, _ = construct_sharp(ConstructionSpec(d=3, delta=2.0**-6, s=1.75, t=1.75))
+    for fam in (points, construct_random("points", 3, 2.0**-5, 2000, seed=3)):
+        calls.clear()
+        paths = _profile_paths(fam)[2]
+        assert {"stencil", "fft"} <= set(paths) and len(calls) == len(paths)
+        calls.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(regularity, "_full_ball_centre",
+                       lambda *args: centres.append(real_centre(*args)) or centres[-1])
+            regularity._scale_profile(fam)
+        # the sharp points' top scale is a full ball, and builds no columns
+        assert len(calls) == sum(c is None for c in centres)
+        centres.clear()
+    # past DENSE_LIMIT every scale goes to the tree, and none builds columns
+    calls.clear()
+    monkeypatch.setattr(regularity, "DENSE_LIMIT", 1)
+    assert set(_profile_paths(fam)[2]) == {"tree"} and calls == []
+
+
 def test_dense_limit_compares_the_stencil_grid(monkeypatch):
     # the largest stencil scale's padded grid is the one the profile
     # allocates; one cell less and that scale takes the FFT instead
@@ -716,9 +733,9 @@ def test_fft_counts_that_round_wrong_raise(value, monkeypatch):
     # its own centre, so a count that rounds to 0 is wrong all the same
     monkeypatch.setattr(regularity, "irfftn", lambda spectrum, period: np.full(period, value))
     offsets = np.array([[0, 0, 0], [1, 2, 0], [3, 0, 1]])
+    columns = regularity._ball_columns(2, np.array([2, 2, 1]), np.ones(3, dtype=np.int64))
     with pytest.raises(FloatingPointError, match="0.25 of positive integers"):
-        regularity._ball_counts(offsets, 2.0, np.array([2, 2, 1]), np.ones(3, dtype=np.int64),
-                                [6, 5, 3])
+        regularity._ball_counts(offsets, *columns, [6, 5, 3])
 
 
 def _shortcut_off_profile(fam):
