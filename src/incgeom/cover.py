@@ -21,6 +21,7 @@ import numpy as np
 from scipy.linalg import block_diag
 from scipy.spatial import cKDTree
 
+from .family import require_int
 from .geometry import (CANDIDATE_MARGIN, check_plane_coeffs, fold_dot, point_plane_distance,
                        unit_normals)
 
@@ -271,6 +272,7 @@ def verify_cover(pi1, pi2, delta, cover: BoxCover, n_samples=10_000, seed=0):
     slab predicates and the unit ball, so the accepted sample is uniform
     on the true region and independent of how the cover was built.  An
     empty region is a vacuous pass with the flag set."""
+    require_int("n_samples", n_samples)
     fr = _frame(pi1, pi2, delta)
     d, radius, lo, hi = fr["dim"], fr["ball_radius"], fr["lo"], fr["hi"]
     if lo > hi or (fr["m_norm"] == 0.0 and abs(fr["gamma"]) > 2.0 * delta):

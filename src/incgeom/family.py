@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import check_plane_coeffs, distinct_rows
+from .geometry import RowError, check_plane_coeffs, distinct_rows
 
 KINDS = ("points", "hyperplanes")
 
@@ -71,7 +71,7 @@ class Family:
         return self.elements.shape[0]
 
     def validate(self):
-        """Check the member invariants, raising ValueError on the first failure.
+        """Check the member invariants, raising RowError on the first failure.
 
         Points: finite coordinates, norm <= sqrt(dim) + 10*delta.  Planes:
         slope cap and intersection with B(0,1).  Both: pairwise distinct rows.
@@ -80,24 +80,25 @@ class Family:
         arr = self.elements
         if not np.all(np.isfinite(arr)):
             i = int(np.nonzero(~np.isfinite(arr).all(axis=1))[0][0])
-            raise ValueError(f"element {i}: non-finite coordinate")
+            raise RowError(i, f"element {i}: non-finite coordinate")
         if self.kind == "points":
             bound = math.sqrt(self.dim) + POINT_NORM_SLACK * self.delta
             norms = np.sqrt(np.sum(arr * arr, axis=1))
             far = np.nonzero(norms > bound + 1e-9)[0]
             if far.size:
                 i = int(far[0])
-                raise ValueError(
-                    f"point {i}: norm {norms[i]:.6g} exceeds the family bound {bound:.6g}"
+                raise RowError(
+                    i, f"point {i}: norm {norms[i]:.6g} exceeds the family bound {bound:.6g}"
                 )
         else:
             check_plane_coeffs(arr)
-        if len(self) > 1:
-            distinct = distinct_rows(arr)[0].size
-            if distinct != len(self):
-                raise ValueError(
-                    f"elements are not pairwise distinct ({len(self) - distinct} duplicate rows)"
-                )
+        first, inverse, _ = distinct_rows(arr)
+        if first.size != len(self):
+            i = int(np.flatnonzero(first[inverse] != np.arange(len(self)))[0])
+            raise RowError(
+                i, f"element {i}: repeats element {first[inverse[i]]}; elements are not "
+                f"pairwise distinct ({len(self) - first.size} duplicate rows)"
+            )
         return self
 
 
@@ -105,23 +106,16 @@ def write_family(fam: Family, path):
     """Write the text format; 17 significant digits per coordinate."""
     with open(path, "w") as fh:
         fh.write(f"#{fam.kind} dim={fam.dim} delta={fam.delta!r}\n")
-        for row in fam.elements:
-            fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
+        np.savetxt(fh, fam.elements, fmt="%.17g")
 
 
 def read_family(path) -> Family:
     """Parse and validate a family file; errors carry the offending line number."""
     with open(path) as fh:
-        lines = fh.readlines()
-
-    header_no = None
-    header = None
-    for lineno, raw in enumerate(lines, start=1):
-        if raw.strip():
-            header_no, header = lineno, raw.strip()
-            break
-    if header is None:
+        lines = [(lineno, text) for lineno, raw in enumerate(fh, start=1) if (text := raw.strip())]
+    if not lines:
         raise ValueError(f"{path}: empty file, expected a family header")
+    (header_no, header), rows = lines[0], lines[1:]
     m = _HEADER_RE.match(header)
     if m is None:
         raise ValueError(
@@ -134,36 +128,20 @@ def read_family(path) -> Family:
         delta = float(m.group(3))
     except ValueError:
         raise ValueError(f"{path}:{header_no}: unreadable delta {m.group(3)!r}") from None
-    if not (0.0 < delta < 1.0):
-        raise ValueError(f"{path}:{header_no}: delta must lie in (0, 1), got {delta!r}")
 
-    rows = []
-    row_lines = []
-    for lineno, raw in enumerate(lines, start=1):
-        if lineno <= header_no or not raw.strip():
-            continue
-        fields = raw.split()
+    elements = []
+    for lineno, text in rows:
+        fields = text.split()
         if len(fields) != dim:
-            raise ValueError(
-                f"{path}:{lineno}: expected {dim} fields, found {len(fields)}"
-            )
+            raise ValueError(f"{path}:{lineno}: expected {dim} fields, found {len(fields)}")
         try:
-            rows.append([float(tok) for tok in fields])
+            elements.extend(map(float, fields))
         except ValueError:
-            raise ValueError(f"{path}:{lineno}: unreadable coordinate in {raw.strip()!r}") from None
-        row_lines.append(lineno)
-
-    arr = np.array(rows, dtype=np.float64) if rows else np.empty((0, dim))
-    fam = Family(kind=kind, elements=arr, delta=delta, dim=dim)
+            raise ValueError(f"{path}:{lineno}: unreadable coordinate in {text!r}") from None
+    arr = np.array(elements, dtype=np.float64).reshape(len(rows), dim)
     try:
-        return fam.validate()
+        return Family(kind=kind, elements=arr, delta=delta, dim=dim).validate()
+    except RowError as exc:
+        raise ValueError(f"{path}:{rows[exc.row][0]}: {exc}") from None
     except ValueError as exc:
-        idx = _leading_index(str(exc))
-        if idx is not None and idx < len(row_lines):
-            raise ValueError(f"{path}:{row_lines[idx]}: {exc}") from None
-        raise ValueError(f"{path}: {exc}") from None
-
-
-def _leading_index(message):
-    m = re.match(r"^(?:point|plane|element)\s+(\d+):", message)
-    return int(m.group(1)) if m else None
+        raise ValueError(f"{path}:{header_no}: {exc}") from None

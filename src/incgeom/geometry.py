@@ -237,27 +237,32 @@ def phong_stein_determinant(x, a):
     return float(np.linalg.det(phong_stein_matrix(x, a)))
 
 
+class RowError(ValueError):
+    """A ValueError about one row of an element array; `row` is its index."""
+
+    def __init__(self, row, message):
+        super().__init__(message)
+        self.row = row
+
+
 def check_plane_coeffs(coeffs):
     """Validate hyperplane invariants: finite entries, slope cap, and
     intersection with the closed unit ball (|a_d|/|u| <= 1), each within 1e-9.
 
-    Raises ValueError naming the first offending plane (by row index).
+    Raises RowError naming the first offending plane (by row index).
     """
     c = np.atleast_2d(np.asarray(coeffs, dtype=np.float64))
     if not np.all(np.isfinite(c)):
         i = int(np.nonzero(~np.isfinite(c).all(axis=1))[0][0])
-        raise ValueError(f"plane {i}: non-finite coefficient")
+        raise RowError(i, f"plane {i}: non-finite coefficient")
     slopes = np.abs(c[:, :-1])
     bad = np.argwhere(slopes > SLOPE_BOUND + 1e-9)
     if bad.size:
         i, j = (int(v) for v in bad[0])
-        raise ValueError(
-            f"plane {i}: slope a_{j + 1} = {c[i, j]!r} exceeds the bound {SLOPE_BOUND}"
-        )
+        raise RowError(i, f"plane {i}: slope a_{j + 1} = {float(c[i, j])!r} "
+                          f"exceeds the bound {SLOPE_BOUND}")
     dist0 = np.abs(c[:, -1]) / unit_normal_norms(c)
     far = np.nonzero(dist0 > 1.0 + 1e-9)[0]
     if far.size:
         i = int(far[0])
-        raise ValueError(
-            f"plane {i}: distance {dist0[i]:.6g} from the origin, misses B(0,1)"
-        )
+        raise RowError(i, f"plane {i}: distance {dist0[i]:.6g} from the origin, misses B(0,1)")

@@ -11,7 +11,6 @@ that can be skipped.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
@@ -76,9 +75,6 @@ class Report:
             out["timings"] = self.timings
         return out
 
-    def to_json(self, include_timings=True):
-        return json.dumps(self.to_dict(include_timings), indent=2, sort_keys=True)
-
 
 def _family_summary(fam: Family, exponent):
     info = {
@@ -110,7 +106,10 @@ def _families_from(config):
     if config.points_path is not None:
         pf = read_family(config.points_path)
         tf = read_family(config.planes_path)
-        for path, fam in ((config.points_path, pf), (config.planes_path, tf)):
+        for path, fam, kind in ((config.points_path, pf, "points"),
+                                (config.planes_path, tf, "hyperplanes")):
+            if fam.kind != kind:
+                raise ValueError(f"{path}: expected a {kind} family, got {fam.kind}")
             if (fam.dim, fam.delta) != (config.dim, config.delta):
                 raise ValueError(f"{path}: family has dim={fam.dim}, delta={fam.delta!r}; "
                                  f"config has dim={config.dim}, delta={config.delta!r}")

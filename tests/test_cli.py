@@ -133,6 +133,19 @@ class TestCount:
         assert out == ""
         assert "error:" in err
 
+    def test_swapped_files_are_refused_before_summaries(self, sharp_files, capsys,
+                                                        monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("family summarised before its kind was checked")
+
+        monkeypatch.setattr(harness, "min_separation", unreachable)
+        pts, pls = sharp_files
+        code, out, err = run(capsys, "count", "--delta", D5, "--points", pls,
+                             "--planes", pts)
+        assert code == 1
+        assert out == ""
+        assert f"error: {pls}: expected a points family, got hyperplanes" in err
+
     @pytest.mark.parametrize("flag,value", [("--s", "7"), ("--t", "-3")])
     def test_exponent_out_of_range_is_an_error(self, sharp_files, capsys, flag, value):
         # a file pair's profile would take it; the config refuses it first
@@ -186,6 +199,13 @@ class TestCover:
                            "--shrink", "0.25")
         assert code == 1
         assert json.loads(out)["coverage"]["fraction"] < 1.0
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_non_positive_samples_is_an_error(self, capsys, samples):
+        code, out, err = run(capsys, *self.ARGS, "--samples", samples)
+        assert code == 1
+        assert out == ""
+        assert "error:" in err and "n_samples" in err
 
 
 class TestSweep:

@@ -148,6 +148,11 @@ class TestVerifyCover:
             assert point_plane_distance(x, PI1) <= DELTA + 1e-9
             assert point_plane_distance(x, PI2) <= DELTA + 1e-9
 
+    @pytest.mark.parametrize("n_samples", [0, -3])
+    def test_non_positive_sample_count_is_refused(self, reference_cover, n_samples):
+        with pytest.raises(ValueError, match="n_samples"):
+            verify_cover(PI1, PI2, DELTA, reference_cover, n_samples=n_samples)
+
     def test_empty_intersection_is_vacuous_pass(self):
         pi2 = np.array([0.0, 0.0, 0.5])
         cover = slab_intersection_cover(PI1, pi2, DELTA)

@@ -40,6 +40,19 @@ def test_empty_family_round_trip(tmp_family_path):
     assert back.elements.shape == (0, 2)
 
 
+def test_write_matches_the_per_row_format(tmp_family_path):
+    """The file is byte for byte what formatting each row with
+    `" ".join(f"{v:.17g}" for v in row)` gives, edge values included."""
+    tiny = np.array([[-0.0, 5e-324], [np.nextafter(0.5, 1.0), 1.0 / 3.0], [1e300, 0.0]])
+    for elements in (tiny, np.empty((0, 2))):
+        fam = Family(kind="points", elements=elements, delta=0.25, dim=2)
+        write_family(fam, tmp_family_path)
+        want = "#points dim=2 delta=0.25\n" + "".join(
+            " ".join(f"{v:.17g}" for v in row) + "\n" for row in elements
+        )
+        assert tmp_family_path.read_text() == want
+
+
 def test_elements_are_read_only():
     fam = Family(kind="points", elements=np.zeros((2, 2)), delta=0.5, dim=2)
     with pytest.raises(ValueError):
@@ -98,6 +111,23 @@ class TestParseErrors:
         self.write(tmp_family_path, "#points dim=2 delta=0.25\n0 0\n0 0\n")
         with pytest.raises(ValueError, match="not pairwise distinct"):
             read_family(tmp_family_path)
+
+    def test_duplicate_names_its_line_and_the_row_it_repeats(self, tmp_family_path):
+        self.write(tmp_family_path, "#points dim=2 delta=0.25\n0 0\n0.5 0\n\n0 0\n")
+        with pytest.raises(ValueError) as err:
+            read_family(tmp_family_path)
+        assert str(err.value) == (
+            f"{tmp_family_path}:5: element 2: repeats element 0; "
+            "elements are not pairwise distinct (1 duplicate rows)"
+        )
+
+    def test_bad_dimension_names_the_header_line(self, tmp_family_path):
+        self.write(tmp_family_path, "#points dim=1 delta=0.25\n0\n")
+        with pytest.raises(ValueError) as err:
+            read_family(tmp_family_path)
+        assert str(err.value) == (
+            f"{tmp_family_path}:1: dimension must be an integer >= 2, got 1"
+        )
 
     @pytest.mark.parametrize("kind", ["points", "hyperplanes"])
     @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e999"])

@@ -11,7 +11,7 @@ from incgeom.geometry import (CANDIDATE_MARGIN, affine_metric, check_plane_coeff
                               code_coordinates, code_metric, dual_plane,
                               distinct_rows, dual_point, fold_dot, incidence_predicate,
                               phong_stein_determinant, phong_stein_matrix,
-                              point_plane_distance, slab_offsets,
+                              point_plane_distance, RowError, slab_offsets,
                               unit_normal_norms, unit_normals)
 from incgeom.regularity import min_separation
 
@@ -307,6 +307,12 @@ class TestValidation:
         coeffs = np.array([[0.0, 0.0], [11.0, 0.0]])
         with pytest.raises(ValueError, match="1"):
             check_plane_coeffs(coeffs)
+
+    def test_slope_message_prints_a_plain_float(self):
+        with pytest.raises(RowError) as err:
+            check_plane_coeffs(np.array([[0.0, 0.0], [11.0, 0.0]]))
+        assert err.value.row == 1
+        assert str(err.value) == "plane 1: slope a_1 = 11.0 exceeds the bound 10.0"
 
     def test_ball_miss_rejected(self):
         with pytest.raises(ValueError, match="misses"):
