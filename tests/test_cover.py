@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from incgeom import cover as cover_mod
-from incgeom.cover import (Box, BoxCover, COUNT_CONSTANT,
+from incgeom.cover import (Box, BoxCover, COUNT_CONSTANT, CoverageReport,
                            slab_intersection_cover, verify_cover)
+from incgeom.family import require_int
 from incgeom.geometry import point_plane_distance
 
 DELTA = 2.0**-8
@@ -152,6 +153,14 @@ class TestVerifyCover:
     def test_non_positive_sample_count_is_refused(self, reference_cover, n_samples):
         with pytest.raises(ValueError, match="n_samples"):
             verify_cover(PI1, PI2, DELTA, reference_cover, n_samples=n_samples)
+
+    @pytest.mark.parametrize("delta", [-0.01, 0.0, float("nan"), 1.0])
+    def test_bad_delta_is_refused(self, reference_cover, delta):
+        """Unchecked, a negative delta passes vacuously, zero spins through
+        the whole budget before passing vacuously, and NaN raises numpy's
+        OverflowError from `rng.uniform`."""
+        with pytest.raises(ValueError, match=r"delta must lie in \(0, 1\)"):
+            verify_cover(PI1, PI2, delta, reference_cover, n_samples=10)
 
     def test_empty_intersection_is_vacuous_pass(self):
         pi2 = np.array([0.0, 0.0, 0.5])
@@ -355,3 +364,149 @@ class TestBoxesView:
         assert set(d) == {"w", "delta", "dim", "count_bound", "boxes"}
         assert [b["center"] for b in d["boxes"]] == reference_cover.centers.tolist()
         assert all(b["axes"] == reference_cover.axes.tolist() for b in d["boxes"])
+
+
+def _three_call_verify(pi1, pi2, delta, cover, n_samples, seed):
+    """Reference sampler: three `rng.uniform` calls per batch, every proposal
+    rotated to ambient coordinates and put to all three exact predicates."""
+    require_int("n_samples", n_samples)
+    fr = cover_mod._frame(pi1, pi2, delta)
+    d, radius, lo, hi = fr["dim"], fr["ball_radius"], fr["lo"], fr["hi"]
+    if lo > hi or (fr["m_norm"] == 0.0 and abs(fr["gamma"]) > 2.0 * delta):
+        return CoverageReport(1.0, n_samples, 0, 0, (), True, "empty intersection")
+    q, house = fr["basis"], fr["rotation"]
+    rng = np.random.default_rng(seed)
+    budget = 2000 * n_samples
+    drawn = 0
+    samples = []
+    got = 0
+    while got < n_samples and drawn < budget:
+        k = min(8192, budget - drawn)
+        drawn += k
+        xi = np.empty((k, d))
+        xi[:, 0] = rng.uniform(lo, hi, size=k)
+        if d > 2:
+            xi[:, 1 : d - 1] = rng.uniform(-radius, radius, size=(k, d - 2))
+        xi[:, d - 1] = fr["vertical_center"] + rng.uniform(-delta, delta, size=k)
+        x = np.column_stack([xi[:, : d - 1] @ q.T, xi[:, d - 1]]) @ house.T
+        keep = (
+            (np.einsum("ij,ij->i", x, x) <= 1.0)
+            & (point_plane_distance(x, pi1) <= delta)
+            & (point_plane_distance(x, pi2) <= delta)
+        )
+        if keep.any():
+            samples.append(x[keep])
+            got += int(keep.sum())
+    if not samples:
+        return CoverageReport(1.0, n_samples, 0, 0, (), True,
+                              f"no intersection point found in {drawn} proposals")
+    pts = np.vstack(samples)[:n_samples]
+    covered = cover_mod._covered(cover, pts)
+    misses = np.flatnonzero(~covered)
+    note = "" if len(pts) == n_samples else (
+        f"sampler obtained {len(pts)} of {n_samples} requested points"
+    )
+    return CoverageReport(float(covered.mean()), n_samples, len(pts), int(misses.size),
+                          tuple(map(tuple, pts[misses[:20]])), False, note)
+
+
+def _assert_same_report(got, ref):
+    assert got == ref
+    assert np.array(got.miss_examples).tobytes() == np.array(ref.miss_examples).tobytes()
+
+
+def _flipped(pi1, pi2, delta):
+    """Whether the sampler's basis points its first column along -m."""
+    fr = cover_mod._frame(pi1, pi2, delta)
+    return bool(fr["basis"][:, 0] @ fr["m"] < 0)
+
+
+# A flipped frame with the first plane near the edge of the ball, where the
+# sampler finds few points: at delta = 2^-6 its budget runs out.
+CAP = (np.array([0.0229, 0.0382, 0.9396]), np.array([0.3227, 0.1888, 0.9194]), 2.0**-6)
+
+
+class TestOneDrawSampler:
+    def test_seeded_pairs_include_flipped_frames(self):
+        flips = [(len(pi1), _flipped(pi1, pi2, delta)) for pi1, pi2, delta in SEEDED]
+        assert (3, True) in flips and (4, True) in flips and (4, False) in flips
+        assert _flipped(*CAP)
+
+    @pytest.mark.parametrize("pi1,pi2,delta", SEEDED)
+    @pytest.mark.parametrize("factor,seed", [(1.0, 5), (0.25, 5), (0.25, 12)])
+    def test_reports_equal_the_three_call_loop(self, pi1, pi2, delta, factor, seed):
+        """Runs that end part-way through a batch, on covers that miss and
+        covers that do not, in d = 2, 3 and 4."""
+        cover = slab_intersection_cover(pi1, pi2, delta).scaled(factor)
+        ref = _three_call_verify(pi1, pi2, delta, cover, 2000, seed)
+        assert ref.obtained == 2000 and (ref.miss_count > 0) == (factor != 1.0)
+        _assert_same_report(verify_cover(pi1, pi2, delta, cover, n_samples=2000, seed=seed), ref)
+
+    @pytest.mark.parametrize("n_samples,seed,note", [
+        (10, 1, "sampler obtained 8 of 10 requested points"),
+        (2, 1, "no intersection point found in 4000 proposals"),
+        (6, 7, ""),
+    ])
+    def test_budget_runs_equal_the_three_call_loop(self, n_samples, seed, note):
+        """The budget runs out after a partial last batch, with some points or
+        none, or the last points arrive just before it does."""
+        cover = slab_intersection_cover(*CAP)
+        for factor in (1.0, 0.25):
+            ref = _three_call_verify(*CAP, cover.scaled(factor), n_samples, seed)
+            assert ref.note == note
+            _assert_same_report(
+                verify_cover(*CAP, cover.scaled(factor), n_samples=n_samples, seed=seed), ref)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_ambient_rows_do_not_depend_on_the_batch(self, d):
+        """A row maps to the same point alone, in a pair and in a batch of 500."""
+        rng = np.random.default_rng(20 + d)
+        pi1 = np.append(rng.uniform(-0.05, 0.05, size=d - 1), 0.1)
+        pi2 = np.append(rng.uniform(-0.3, 0.3, size=d - 1), 0.11)
+        fr = cover_mod._frame(pi1, pi2, 2.0**-6)
+        q, house = fr["basis"], fr["rotation"]
+        xi = rng.uniform(-1.0, 1.0, size=(500, d))
+        batch = cover_mod._to_ambient(xi, q, house)
+        assert np.array_equal(
+            batch, np.column_stack([xi[:, : d - 1] @ q.T, xi[:, d - 1]]) @ house.T)
+        alone = np.vstack([cover_mod._to_ambient(row[None, :], q, house) for row in xi])
+        pairs = np.vstack([cover_mod._to_ambient(xi[i : i + 2], q, house)
+                           for i in range(0, len(xi), 2)])
+        assert alone.tobytes() == batch.tobytes()
+        assert pairs.tobytes() == batch.tobytes()
+
+
+def _ulp_steps(values, steps):
+    """`values` moved by `steps` ulps (negative steps move down)."""
+    out = values.copy()
+    for _ in range(abs(steps)):
+        out = np.nextafter(out, np.copysign(np.inf, steps))
+    return out
+
+
+class TestSecondSlabFilter:
+    @pytest.mark.parametrize("pi1,pi2,delta", SEEDED + [CAP])
+    def test_drops_no_row_the_exact_test_keeps(self, pi1, pi2, delta):
+        """Proposals solved onto both edges of the second slab, then moved
+        0 to 4 ulps either way along the vertical: every row within delta of
+        the second plane by `point_plane_distance` passes the filter."""
+        fr = cover_mod._frame(pi1, pi2, delta)
+        d, radius, q = fr["dim"], fr["ball_radius"], fr["basis"]
+        rng = np.random.default_rng(8)
+        n = 400
+        xi = np.empty((n, d))
+        xi[:, 0] = rng.uniform(fr["lo"], fr["hi"], size=n)
+        xi[:, 1 : d - 1] = rng.uniform(-radius, radius, size=(n, d - 2))
+        normal = q.T @ fr["m"]
+        edge = rng.choice([-delta, delta], size=n)
+        xi[:, d - 1] = (edge - fr["c2"] - xi[:, : d - 1] @ normal) / fr["nu_d"]
+        near = cover_mod._second_slab_filter(fr, delta)
+        kept_exactly = 0
+        for steps in range(-4, 5):
+            moved = xi.copy()
+            moved[:, d - 1] = _ulp_steps(xi[:, d - 1], steps)
+            exact = point_plane_distance(cover_mod._to_ambient(moved, q, house=fr["rotation"]),
+                                         pi2) <= delta
+            assert not np.any(exact & ~near(moved[:, 0], moved[:, d - 1]))
+            kept_exactly += int(exact.sum())
+        assert 0 < kept_exactly < 9 * n
