@@ -31,7 +31,7 @@ def planar_table():
 def lift_factorization():
     delta = 2.0**-6
     P2, L2 = construct_sharp_2d(1.75, 1.75, delta)
-    P3, L3 = lift_to_dim(P2, L2, 3, delta)
+    P3, L3 = lift_to_dim(P2, L2, 3)
     flat = count_incidences_fast(P2, L2, delta)
     lifted = count_incidences_fast(P3, L3, delta)
     layers = P3.meta["layers"]

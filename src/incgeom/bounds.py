@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Optional
 
+from .family import require_delta
+
 _EPS_NOTE = "epsilon-loss factor delta^-O(eps) not included"
 
 
@@ -70,8 +72,7 @@ def main_bound(delta, n_points, n_planes) -> BoundValue:
     Needs s, t > (d+1)/2 to apply; checking that is the caller's job, this
     just instantiates the value (it doubles as the ratio denominator of
     every incidence report)."""
-    if not 0 < delta < 1:
-        raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
+    require_delta(delta)
     if n_points < 0 or n_planes < 0:
         raise ValueError("family sizes must be nonnegative")
     return BoundValue(
@@ -112,8 +113,7 @@ def dov_bound(delta, s, d, n_points, n_planes) -> BoundValue:
         raise ValueError(f"this bound requires s > 1, got s = {s}")
     if not 2 * d - 1 - s > 0:
         raise ValueError(f"requires 2d - 1 - s > 0, got d = {d}, s = {s}")
-    if not 0 < delta < 1:
-        raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
+    require_delta(delta)
     denom = 2.0 * d - 1.0 - s
     de = (d - 1.0) * (s + 1.0 - d) / denom
     pe = (d - 1.0) / denom

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .family import Family, require_int
+from .family import Family, require_delta, require_int
 from .geometry import CANDIDATE_MARGIN, affine_metric, fold_dot, unit_normals
 
 
@@ -40,8 +40,7 @@ class ConstructionSpec:
     t: float
 
     def __post_init__(self):
-        if self.d < 2:
-            raise ValueError(f"dimension must be at least 2, got {self.d}")
+        require_int("dimension", self.d, minimum=2)
         k = _power_of_two_exponent(self.delta, "delta")
         if k < 4:
             raise ValueError(f"delta must be at most 2^-4, got {self.delta!r}")
@@ -93,11 +92,11 @@ def construct_sharp(spec: ConstructionSpec):
     pf, tf = construct_sharp_2d(spec.s, spec.t, spec.delta)
     if spec.d == 2:
         return pf, tf
-    return lift_to_dim(pf, tf, spec.d, spec.delta)
+    return lift_to_dim(pf, tf, spec.d)
 
 
-def lift_to_dim(points2, lines2, d, delta):
-    """Lift the planar pair to dimension d.
+def lift_to_dim(points2, lines2, d):
+    """Lift the planar pair, which shares one delta, to dimension d.
 
     Each line x2 = a x1 + e becomes the hyperplane
     x_d = a x1 + 0 x2 + ... + 0 x_{d-1} + e; each planar point (p1, p2)
@@ -105,16 +104,14 @@ def lift_to_dim(points2, lines2, d, delta):
     over the 2-delta net in [0, 1].  Plane count is preserved exactly and
     the point count multiplies by (floor(1/(2 delta)) + 1)^(d-2).
     """
-    if d < 3:
-        raise ValueError(f"lift requires dimension at least 3, got {d}")
+    require_int("dimension", d, minimum=3)
     if points2.kind != "points" or points2.dim != 2:
         raise ValueError("first argument must be a planar point family")
     if lines2.kind != "hyperplanes" or lines2.dim != 2:
         raise ValueError("second argument must be a planar line family")
-    if not (points2.delta == delta == lines2.delta):
-        raise ValueError(
-            f"delta mismatch: {points2.delta!r}, {lines2.delta!r} vs {delta!r}"
-        )
+    delta = points2.delta
+    if lines2.delta != delta:
+        raise ValueError(f"delta mismatch: points {delta!r}, lines {lines2.delta!r}")
     k = _power_of_two_exponent(delta, "delta")
     layers = _dyadic_range(k - 1)  # the 2-delta net
     base = points2.elements
@@ -196,8 +193,7 @@ def construct_random(kind, d, delta, n, seed):
     if kind not in ("points", "hyperplanes"):
         raise ValueError(f"unknown family kind {kind!r}")
     require_int("dimension", d, minimum=2)
-    if not 0 < delta < 1:
-        raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
+    require_delta(delta)
     require_int("family size", n, minimum=0)
     points = kind == "points"
     rng = np.random.default_rng(seed)

@@ -21,12 +21,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import block_diag
 from scipy.spatial import cKDTree
 
-from .family import require_int
+from .family import require_delta, require_int
 from .geometry import (CANDIDATE_MARGIN, check_plane_coeffs, fold_dot, point_plane_distance,
                        unit_normals)
 
@@ -88,8 +89,8 @@ class BoxCover:
     """Congruent boxes stored as arrays: box k has centre `centers[k]` (rows
     in tiling order) and the shared frame `axes`, `half_lengths`,
     `thin_axis`.  The frame is checked once, through one `Box` at the
-    origin, with the shape of `centers` and the count bound.  `boxes` and
-    `to_dict()` are per-box views built on demand without re-checking."""
+    origin, with the shape of `centers` and the count bound.  `boxes` holds
+    per-box views, built on first access without re-checking."""
 
     centers: np.ndarray
     axes: np.ndarray
@@ -109,7 +110,7 @@ class BoxCover:
                 f"cover has {len(self.centers)} boxes, exceeding its bound {self.count_bound}"
             )
 
-    @property
+    @cached_property
     def boxes(self):
         """One `Box` per centre, in tiling order, bypassing `Box`'s checks."""
         frame = dict(axes=self.axes, half_lengths=self.half_lengths, thin_axis=self.thin_axis)
@@ -134,11 +135,6 @@ class BoxCover:
         }
 
 
-def _check_delta(delta):
-    if not 0 < delta < 1:
-        raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
-
-
 def _normalize(pi, label):
     """Unit normal and offset of a validated plane (it meets the unit ball)."""
     pi = np.asarray(pi, dtype=np.float64)
@@ -151,10 +147,13 @@ def _normalize(pi, label):
 
 def _frame(pi1, pi2, delta):
     """Rotate pi1 horizontal; return the data describing where the second
-    slab cuts the first."""
+    slab cuts the first.  `empty`, decided here alone, says the slabs miss."""
     n1, c1 = _normalize(pi1, "first plane")
     n2, c2 = _normalize(pi2, "second plane")
     d = n1.size
+    if n2.size != d:
+        raise ValueError(f"planes of different dimension: the first has d = {d}, "
+                         f"the second d = {n2.size}")
     # Householder sending n1 to +e_d; stable since n1's last entry is < 0
     v = n1 - np.eye(d)[d - 1]
     house = np.eye(d) - 2.0 * np.outer(v, v) / (v @ v)
@@ -167,14 +166,16 @@ def _frame(pi1, pi2, delta):
     w = float(np.linalg.norm(n1 - n2) + abs(c1 - c2))
     m_norm = float(np.linalg.norm(m))
     radius = 1.0 + 2.0 * delta
-    # the strip's extent [lo, hi] along e_beta = m/|m| (the whole ball if m = 0)
+    # the strip's extent [lo, hi] along e_beta = m/|m| (all or nothing if m = 0)
     # and an orthonormal in-plane basis whose first column is +-e_beta
     if m_norm > 0.0:
         lo = max((-gamma - 2.0 * delta) / m_norm, -radius)
         hi = min((-gamma + 2.0 * delta) / m_norm, radius)
         e_beta = m / m_norm
+        empty = lo > hi
     else:
         lo, hi, e_beta = -radius, radius, np.eye(d - 1)[0]
+        empty = abs(gamma) > 2.0 * delta
     return {
         "rotation": house,
         "vertical_center": -c1,
@@ -188,6 +189,7 @@ def _frame(pi1, pi2, delta):
         "ball_radius": radius,
         "lo": lo,
         "hi": hi,
+        "empty": empty,
         "basis": np.linalg.qr(np.column_stack([e_beta, np.eye(d - 1)]))[0],
     }
 
@@ -198,10 +200,10 @@ def slab_intersection_cover(pi1, pi2, delta) -> BoxCover:
 
     Raises when w <= delta (the lemma's hypothesis) and in the
     near-parallel regime where the strip degenerates into a full-width
-    pancake (only reachable for w < 4 delta); parallel planes whose slabs
-    miss each other give an empty cover.
+    pancake (only reachable for w < 4 delta); slabs that `_frame` finds
+    disjoint give an empty cover.
     """
-    _check_delta(delta)
+    require_delta(delta)
     fr = _frame(pi1, pi2, delta)
     w, d = fr["w"], fr["dim"]
     if w <= delta:
@@ -209,19 +211,15 @@ def slab_intersection_cover(pi1, pi2, delta) -> BoxCover:
             f"scales merge below separation: w = {w:.3e} <= delta = {delta:.3e}"
         )
     bound = COUNT_CONSTANT * float(delta) ** -(d - 2)
-    empty = BoxCover(np.empty((0, d)), np.eye(d), np.full(d, delta), 0, w, float(delta), d, bound)
-    m_norm, gamma, radius = fr["m_norm"], fr["gamma"], fr["ball_radius"]
+    if fr["empty"]:
+        return BoxCover(np.empty((0, d)), np.eye(d), np.full(d, delta), 0, w, float(delta), d, bound)
+    m_norm, lo, hi, radius = fr["m_norm"], fr["lo"], fr["hi"], fr["ball_radius"]
     if m_norm < delta / 4.0:
-        if abs(gamma) > 2.0 * delta + m_norm * radius:
-            return empty
         raise ValueError(
             "near-parallel pancake: the second slab cuts the first in a "
             f"full-width sheet (|m| = {m_norm:.3e} < delta/4, w = {w:.3e}); "
             "no thin-box cover meets the count bound in this regime"
         )
-    lo, hi = fr["lo"], fr["hi"]
-    if lo > hi:
-        return empty
 
     house = fr["rotation"]
     q = fr["basis"]
@@ -325,13 +323,15 @@ def verify_cover(pi1, pi2, delta, cover: BoxCover, n_samples=10_000, seed=0):
     the vertical one.  Before any ambient point is built,
     `_second_slab_filter` drops rows that the exact second-slab test would
     reject, from their frame coordinates; the survivors keep their draw
-    order.  An empty region is a vacuous pass with the flag set."""
-    _check_delta(delta)
+    order.  A region that `_frame` finds empty is a vacuous pass, flagged."""
+    require_delta(delta)
     require_int("n_samples", n_samples)
     fr = _frame(pi1, pi2, delta)
-    d, radius, lo, hi = fr["dim"], fr["ball_radius"], fr["lo"], fr["hi"]
-    if lo > hi or (fr["m_norm"] == 0.0 and abs(fr["gamma"]) > 2.0 * delta):
+    if cover.dim != fr["dim"]:
+        raise ValueError(f"cover has dimension {cover.dim}, the planes {fr['dim']}")
+    if fr["empty"]:
         return CoverageReport(1.0, n_samples, 0, 0, (), True, "empty intersection")
+    d, radius, lo, hi = fr["dim"], fr["ball_radius"], fr["lo"], fr["hi"]
     q, house, vc = fr["basis"], fr["rotation"], fr["vertical_center"]
     near = _second_slab_filter(fr, delta)
 

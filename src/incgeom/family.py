@@ -30,9 +30,16 @@ _HEADER_RE = re.compile(
 
 
 def require_int(name, value, minimum=1):
-    """Refuse anything but an integer (bools excluded) of at least `minimum`."""
+    """Refuse anything but an integer (bools excluded) >= `minimum`; return it as an int."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
+def require_delta(delta):
+    """Refuse a scale outside the open interval (0, 1), NaN included."""
+    if not 0 < delta < 1:
+        raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
 
 
 @dataclass(frozen=True)
@@ -53,10 +60,8 @@ class Family:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown family kind {self.kind!r}; expected {KINDS}")
-        require_int("dimension", self.dim, minimum=2)
-        object.__setattr__(self, "dim", int(self.dim))
-        if not (0.0 < self.delta < 1.0):
-            raise ValueError(f"delta must lie in (0, 1), got {self.delta!r}")
+        object.__setattr__(self, "dim", require_int("dimension", self.dim, minimum=2))
+        require_delta(self.delta)
         arr = np.array(self.elements, dtype=np.float64, copy=True)
         if arr.size == 0:
             arr = arr.reshape(0, self.dim)

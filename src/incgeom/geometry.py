@@ -32,6 +32,12 @@ MODES = ("euclidean", "psi")
 CANDIDATE_MARGIN = 1e-9
 
 
+def require_mode(mode):
+    """Refuse an incidence mode other than those in MODES."""
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+
+
 def fold_dot(a, b):
     """a_0 b_0 + ... + a_{k-1} b_{k-1} over the last axis of broadcastable
     arrays, as a fixed left fold of separate elementwise operations.  Unlike
@@ -89,8 +95,7 @@ def incidence_mask(points, coeffs, cdelta, mode="euclidean", norms=None):
     caller divides by the exact same values.  Both incidence counters
     funnel through this expression; do not duplicate it.
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+    require_mode(mode)
     offsets = np.abs(slab_offsets(points, coeffs))
     if mode == "euclidean":
         if norms is None:

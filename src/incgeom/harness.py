@@ -19,7 +19,7 @@ from ._version import __version__
 from .bounds import bound_table
 from .constructions import ConstructionSpec, construct_sharp
 from .family import Family, read_family, require_int
-from .geometry import MODES
+from .geometry import require_mode
 from .incidence import count_incidences_fast, count_incidences_oracle
 from .regularity import min_separation, regularity_constant
 
@@ -42,12 +42,12 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.C > 0:
             raise ValueError(f"C must be positive, got {self.C!r}")
-        require_int("workers", self.workers)
+        object.__setattr__(self, "dim", require_int("dimension", self.dim, minimum=2))
+        object.__setattr__(self, "workers", require_int("workers", self.workers))
         for name, v in (("s", self.s), ("t", self.t)):
             if not 0.0 <= v <= self.dim:
                 raise ValueError(f"exponent {name} must lie in [0, {self.dim}], got {v}")
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}; expected one of {MODES}")
+        require_mode(self.mode)
         if self.counter not in ("fast", "oracle"):
             raise ValueError(f"counter must be fast or oracle, got {self.counter!r}")
         if (self.points_path is None) != (self.planes_path is None):
@@ -178,6 +178,9 @@ class SweepResult:
 
 
 def sweep(config: ExperimentConfig, deltas) -> SweepResult:
+    deltas = list(deltas)
+    if not deltas:
+        raise ValueError("sweep needs at least one delta")
     rows, reports, failures = [], [], []
     for dl in deltas:
         cfg = replace(config, delta=float(dl))

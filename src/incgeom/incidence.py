@@ -44,8 +44,9 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .family import Family, require_int
-from .geometry import (CANDIDATE_MARGIN, MODES, affine_metric, distinct_rows, fold_dot,
-                       incidence_mask, slab_offsets, unit_normal_norms)
+from .geometry import (CANDIDATE_MARGIN, affine_metric, check_plane_coeffs, distinct_rows,
+                       fold_dot, incidence_mask, require_mode, slab_offsets,
+                       unit_normal_norms)
 
 DEFAULT_LEAF_SIZE = 128
 
@@ -90,8 +91,7 @@ def _histogram(values):
 
 def _prepare(points_fam: Family, planes_fam: Family, cdelta, mode, workers):
     require_int("workers", workers)
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+    require_mode(mode)
     if points_fam.kind != "points":
         raise ValueError(f"first family must be points, got {points_fam.kind!r}")
     if planes_fam.kind != "hyperplanes":
@@ -383,6 +383,7 @@ def annulus_partition(planes_fam: Family, center) -> AnnulusPartition:
         raise ValueError(
             f"center plane has shape {center.shape}, expected ({planes_fam.dim},)"
         )
+    check_plane_coeffs(center)
     delta = planes_fam.delta
     elements = planes_fam.elements
     others = np.flatnonzero(~np.all(elements == center, axis=1))

@@ -7,6 +7,8 @@ constants, not equalities: the quantities are ratios of counting functions
 and move with the construction details.
 """
 
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -34,19 +36,29 @@ def announce(capsys):
     return _announce
 
 
+# sha256 of the sorted-key JSON of `count_incidences_oracle`'s report on the
+# d = 2, delta = 2^-8 sharp pair, recorded once from the oracle (about 7 s)
+PLANAR_ORACLE_DIGEST = "ae4535dd37802873206b6b4df87736152da26327b90bac5de92e2436dac9f5a3"
+
+
 def test_01_sharpness_planar(announce):
+    """The fast count's report is the oracle's, bit for bit, so its ratio
+    is the oracle's ratio."""
     delta = 2.0**-8
     P, L = construct_sharp_2d(1.75, 1.75, delta)
-    ratio = count_incidences_oracle(P, L, delta).ratio
-    ok = 1.0 / 16.0 <= ratio <= 16.0
-    announce("01 planar sharpness", ok, f"ratio={ratio:.4f}, |P|={len(P)}, |L|={len(L)}")
+    report = count_incidences_fast(P, L, delta)
+    digest = hashlib.sha256(json.dumps(report.to_dict(), sort_keys=True).encode()).hexdigest()
+    ratio = report.ratio
+    ok = digest == PLANAR_ORACLE_DIGEST and 1.0 / 16.0 <= ratio <= 16.0
+    announce("01 planar sharpness", ok, f"ratio={ratio:.4f}, |P|={len(P)}, |L|={len(L)}, "
+             f"oracle digest {'matches' if digest == PLANAR_ORACLE_DIGEST else 'DIFFERS'}")
     assert ok
 
 
 def test_02_sharpness_lifted(announce):
     delta = 2.0**-6
     P2, L2 = construct_sharp_2d(1.75, 1.75, delta)
-    P3, L3 = lift_to_dim(P2, L2, 3, delta)
+    P3, L3 = lift_to_dim(P2, L2, 3)
     layers = math.floor(1.0 / (2.0 * delta)) + 1
     ratio = count_incidences_oracle(P3, L3, delta).ratio
     ok = (

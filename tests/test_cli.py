@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -207,6 +208,14 @@ class TestCover:
         assert out == ""
         assert "error:" in err and "n_samples" in err
 
+    def test_planes_of_different_dimension_are_an_error(self, capsys):
+        code, out, err = run(capsys, "cover", "--delta", "2^-6",
+                             "--plane1", "0,0", "--plane2", "0.1,0,0.01")
+        assert code == 1
+        assert out == ""
+        assert ("error: planes of different dimension: the first has d = 2, the second d = 3"
+                in err)
+
 
 class TestSweep:
     def test_table_and_exit_zero(self, tmp_path, capsys):
@@ -215,7 +224,13 @@ class TestSweep:
                            "--out", dest)
         assert code == 0
         assert out.count("ratio=") == 2
-        assert len(json.loads(open(dest).read())["rows"]) == 2
+        assert len(json.loads(pathlib.Path(dest).read_text())["rows"]) == 2
+
+    def test_empty_delta_list_is_an_error(self, capsys):
+        code, out, err = run(capsys, "sweep", "--deltas", ",")
+        assert code == 1
+        assert out == ""
+        assert "error: sweep needs at least one delta" in err
 
     def test_failed_delta_exits_one(self, capsys):
         code, _, err = run(capsys, "sweep", "--deltas", "2^-5,0.1")

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ def sharp_pair():
 @pytest.fixture(scope="module")
 def lifted_pair(sharp_pair):
     P, L = sharp_pair
-    return lift_to_dim(P, L, 3, DELTA)
+    return lift_to_dim(P, L, 3)
 
 
 class TestSpec:
@@ -49,6 +50,16 @@ class TestSpec:
     def test_dimension_floor(self):
         with pytest.raises(ValueError):
             ConstructionSpec(d=1, delta=DELTA, s=1.5, t=1.5)
+
+    @pytest.mark.parametrize("d", [3.0, 2.5, True, "3", None])
+    def test_dimension_must_be_an_integer(self, d):
+        with pytest.raises(ValueError,
+                           match=f"dimension must be an integer >= 2, got {re.escape(repr(d))}"):
+            ConstructionSpec(d=d, delta=DELTA, s=1.5, t=1.5)
+
+    def test_accepts_a_numpy_integer_dimension(self):
+        P, L = construct_sharp(ConstructionSpec(d=np.int64(3), delta=2.0**-5, s=1.75, t=1.75))
+        assert (P.dim, L.dim) == (3, 3)
 
 
 class TestSharp2d:
@@ -132,12 +143,32 @@ class TestLift:
         sel = grids[0].ravel()
         want = np.column_stack([P.elements[sel, 0]] + [g.ravel() for g in grids[1:]]
                                + [P.elements[sel, 1]])
-        assert np.array_equal(lift_to_dim(P, L, d, delta)[0].elements, want)
+        assert np.array_equal(lift_to_dim(P, L, d)[0].elements, want)
 
     def test_rejects_flat_target(self, sharp_pair):
         P, L = sharp_pair
-        with pytest.raises(ValueError, match="at least 3"):
-            lift_to_dim(P, L, 2, DELTA)
+        with pytest.raises(ValueError, match="dimension must be an integer >= 3, got 2"):
+            lift_to_dim(P, L, 2)
+
+    @pytest.mark.parametrize("d", [3.0, 2.5, True, "3", None])
+    def test_lift_dimension_must_be_an_integer(self, sharp_pair, d):
+        P, L = sharp_pair
+        with pytest.raises(ValueError,
+                           match=f"dimension must be an integer >= 3, got {re.escape(repr(d))}"):
+            lift_to_dim(P, L, d)
+
+    def test_lift_accepts_a_numpy_integer_dimension(self, sharp_pair, lifted_pair):
+        P, L = sharp_pair
+        P3, L3 = lift_to_dim(P, L, np.int64(3))
+        assert (P3.dim, L3.dim) == (3, 3)
+        assert np.array_equal(P3.elements, lifted_pair[0].elements)
+        assert np.array_equal(L3.elements, lifted_pair[1].elements)
+
+    def test_lift_takes_the_pair_s_own_delta(self, sharp_pair):
+        P, _ = sharp_pair
+        _, coarse = construct_sharp_2d(1.75, 1.75, 2 * DELTA)
+        with pytest.raises(ValueError, match="delta mismatch: points 0.015625, lines 0.03125"):
+            lift_to_dim(P, coarse, 3)
 
 
 class TestGrid:

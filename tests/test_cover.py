@@ -170,6 +170,77 @@ class TestVerifyCover:
         assert report.fraction == 1.0
         assert report.obtained == 0
 
+    def test_cover_of_another_dimension_is_refused(self, reference_cover):
+        pi1, pi2 = np.zeros(2), np.array([0.25, 2 * DELTA])
+        with pytest.raises(ValueError, match="cover has dimension 3, the planes 2"):
+            verify_cover(pi1, pi2, DELTA, reference_cover, n_samples=10)
+
+
+def _pancake_pair(slope, factor):
+    """PI1 and a plane tilted by `slope` along x_1 whose strip offset gamma
+    is `factor` times the pancake edge 2 delta + |m| (1 + 2 delta), past which
+    the strip |m . xi' + gamma| <= 2 delta leaves the ball of radius 1 + 2 delta."""
+    s = math.hypot(1.0, slope)
+    edge = 2.0 * DELTA + slope / s * (1.0 + 2.0 * DELTA)
+    return PI1, np.array([slope, 0.0, factor * edge * s])
+
+
+# Parallel pairs, tilted or not, in d = 2, 3 and 4, whose slabs are 2.5 delta
+# or more apart (test_parallel_far_apart_is_empty has PI1 and a plane 0.5 above)
+MISSING = [
+    (np.array([0.0, 0.1]), np.array([0.0, 0.1 + 2.5 * DELTA]), DELTA),
+    (np.array([0.3, -0.2, 0.1]),
+     np.array([0.3, -0.2, 0.1 - 2.5 * DELTA * math.hypot(1.0, 0.3, 0.2)]), DELTA),
+    (np.array([0.25, 0.5, -0.125, 0.0]), np.array([0.25, 0.5, -0.125, 0.5]), 2.0**-6),
+]
+
+
+class TestEmptiness:
+    """`_frame` alone decides whether the two slabs meet in the ball: the
+    builder returns an empty cover and the verifier a vacuous pass on the
+    same pairs."""
+
+    @pytest.mark.parametrize("pi1,pi2,delta", MISSING)
+    def test_parallel_slabs_that_miss(self, pi1, pi2, delta):
+        cover = slab_intersection_cover(pi1, pi2, delta)
+        assert cover.boxes == ()
+        report = verify_cover(pi1, pi2, delta, cover, n_samples=100)
+        assert report.vacuous and report.note == "empty intersection"
+
+    def test_parallel_slabs_that_meet_are_a_pancake(self, reference_cover):
+        pi2 = np.array([0.0, 0.0, 1.5 * DELTA])
+        with pytest.raises(ValueError, match="near-parallel pancake"):
+            slab_intersection_cover(PI1, pi2, DELTA)
+        report = verify_cover(PI1, pi2, DELTA, reference_cover, n_samples=200)
+        assert not report.vacuous and report.obtained == 200
+
+    @pytest.mark.parametrize("slope", [DELTA / 8, DELTA / 5])
+    def test_just_beyond_the_pancake_edge_is_empty(self, slope):
+        pi1, pi2 = _pancake_pair(slope, 1.0 + 1e-6)
+        cover = slab_intersection_cover(pi1, pi2, DELTA)
+        assert cover.boxes == ()
+        report = verify_cover(pi1, pi2, DELTA, cover, n_samples=10)
+        assert report.vacuous and report.note == "empty intersection"
+
+    @pytest.mark.parametrize("slope", [DELTA / 8, DELTA / 5])
+    @pytest.mark.parametrize("factor,note", [
+        # the strip survives only outside the unit ball, so sampling finds nothing
+        (1.0 - 1e-6, "no intersection point found in 10000 proposals"),
+        (0.5, ""),
+    ])
+    def test_within_the_pancake_edge_is_a_pancake(self, reference_cover, slope, factor, note):
+        pi1, pi2 = _pancake_pair(slope, factor)
+        with pytest.raises(ValueError, match="near-parallel pancake"):
+            slab_intersection_cover(pi1, pi2, DELTA)
+        report = verify_cover(pi1, pi2, DELTA, reference_cover, n_samples=5)
+        assert report.note == note
+        assert report.vacuous == bool(note)
+
+    def test_planes_of_different_dimension_are_refused(self):
+        with pytest.raises(ValueError, match="planes of different dimension: "
+                                             "the first has d = 2, the second d = 3"):
+            slab_intersection_cover(np.zeros(2), PI2, DELTA)
+
 
 class TestSerialization:
     def test_cover_to_dict(self, reference_cover):
@@ -350,6 +421,12 @@ class TestBoxesView:
         got = np.array([b.center for b in boxes])
         # batched products round differently, by a few ulps of unit-size coordinates
         assert np.allclose(got, ref, rtol=0, atol=8 * np.finfo(float).eps)
+
+    def test_views_are_built_once_per_cover(self, reference_cover):
+        assert reference_cover.boxes is reference_cover.boxes
+        shrunk = reference_cover.scaled(0.5)
+        assert shrunk.boxes is shrunk.boxes
+        assert shrunk.boxes[0].half_lengths is shrunk.half_lengths
 
     def test_views_share_the_frame(self, reference_cover):
         for k, box in enumerate(reference_cover.boxes[:10]):

@@ -1,7 +1,9 @@
 import hashlib
 import json
 import pathlib
+import re
 
+import numpy as np
 import pytest
 
 from incgeom._version import __version__
@@ -40,6 +42,17 @@ class TestConfig:
     def test_rejects_zero_workers(self):
         with pytest.raises(ValueError, match="workers"):
             ExperimentConfig(workers=0)
+
+    @pytest.mark.parametrize("dim", [3.0, 2.5, True, "3", None])
+    def test_rejects_a_dimension_that_is_not_an_integer(self, dim):
+        with pytest.raises(ValueError,
+                           match=f"dimension must be an integer >= 2, got {re.escape(repr(dim))}"):
+            ExperimentConfig(dim=dim)
+
+    def test_stores_numpy_integers_as_ints(self):
+        cfg = ExperimentConfig(dim=np.int64(3), workers=np.int64(2))
+        assert (type(cfg.dim), type(cfg.workers)) == (int, int)
+        assert (cfg.dim, cfg.workers) == (3, 2)
 
     @pytest.mark.parametrize("dim,name,value", [(2, "s", 7.0), (2, "t", -3.0), (3, "s", 3.5),
                                                 (3, "t", float("nan"))])
@@ -176,7 +189,19 @@ class TestFileBackedRun:
         assert rep.incidence.count > 0
 
 
+def test_numpy_dimension_gives_the_same_json_report():
+    report = run_experiment(ExperimentConfig(dim=np.int64(2), delta=2.0**-5))
+    json.dumps(report.to_dict())
+    want = run_experiment(ExperimentConfig(dim=2, delta=2.0**-5))
+    assert (json.dumps(report.to_dict(include_timings=False), sort_keys=True)
+            == json.dumps(want.to_dict(include_timings=False), sort_keys=True))
+
+
 class TestSweep:
+    def test_empty_delta_list_is_refused(self):
+        with pytest.raises(ValueError, match="sweep needs at least one delta"):
+            sweep(ExperimentConfig(), [])
+
     def test_failures_are_recorded_and_skipped(self):
         cfg = ExperimentConfig()
         result = sweep(cfg, [2.0**-5, 0.1, 2.0**-6])

@@ -665,3 +665,15 @@ class TestAnnuli:
         pts = Family(kind="points", elements=np.zeros((1, 2)), delta=DELTA, dim=2)
         with pytest.raises(ValueError, match="hyperplanes"):
             annulus_partition(pts, np.zeros(2))
+
+    @pytest.mark.parametrize("center,message", [
+        ((np.nan, 0.0), "non-finite coefficient"),
+        ((0.0, np.inf), "non-finite coefficient"),
+        ((11.0, 0.0), "exceeds the bound"),
+        ((0.0, 2.0), r"misses B\(0,1\)"),
+    ])
+    def test_center_plane_is_validated(self, center, message):
+        """A NaN centre used to put every line in bucket 0, as if within delta."""
+        _, L = construct_sharp_2d(1.75, 1.75, 2.0**-5)
+        with pytest.raises(ValueError, match=message):
+            annulus_partition(L, np.array(center))

@@ -1,6 +1,7 @@
 """No incgeom module reaches into another's private names: a helper that
 two modules share gets a public name in one home.  No module imports a
-name it never uses, and rows are deduplicated in one place."""
+name it never uses, rows are deduplicated in one place, and each input
+rule with a shared message is written once."""
 
 import ast
 import pathlib
@@ -52,6 +53,35 @@ def test_the_check_sees_a_row_unique(tmp_path):
     bad = tmp_path / "bad.py"
     bad.write_text("import numpy as np\nnp.unique(x)\nnp.unique(x, axis=0, return_index=True)\n")
     assert list(_row_uniques(bad)) == ["bad.py:3"]
+
+
+def _rule_strings(paths, phrase):
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and phrase in node.value):
+                yield f"{path.name}:{node.lineno}"
+
+
+# family.require_delta and geometry.require_mode
+RULES = ("delta must lie in (0, 1)", "unknown mode")
+
+
+@pytest.mark.parametrize("phrase", RULES)
+def test_each_input_rule_has_one_implementation(phrase):
+    assert len(list(_rule_strings(sorted(SRC.glob("*.py")), phrase))) == 1
+
+
+def test_the_check_sees_a_second_rule(tmp_path):
+    one = tmp_path / "one.py"
+    one.write_text('def f(mode):\n    raise ValueError(f"unknown mode {mode!r}")\n')
+    two = tmp_path / "two.py"
+    two.write_text('def g(delta):\n    if not 0 < delta < 1:\n'
+                   '        raise ValueError(f"delta must lie in (0, 1), got {delta!r}")\n'
+                   'MESSAGE = "unknown mode"\n')
+    assert list(_rule_strings([one, two], RULES[0])) == ["two.py:3"]
+    assert list(_rule_strings([one, two], RULES[1])) == ["one.py:2", "two.py:4"]
 
 
 def _unused_imports(path):
