@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .family import Family, require_delta, require_int
+from .family import Family, require_delta, require_int, require_kind
 from .geometry import CANDIDATE_MARGIN, affine_metric, fold_dot, unit_normals
 
 
@@ -190,8 +190,7 @@ def construct_random(kind, d, delta, n, seed):
       d = 2..6 where measured, so the plane norm sqrt(slopes @ slopes + 1) keeps the
       per-row `@`, and the ball test calls it on the rows whose fold lies
       within CANDIDATE_MARGIN of 1, where the fold cannot decide alone."""
-    if kind not in ("points", "hyperplanes"):
-        raise ValueError(f"unknown family kind {kind!r}")
+    require_kind(kind)
     require_int("dimension", d, minimum=2)
     require_delta(delta)
     require_int("family size", n, minimum=0)

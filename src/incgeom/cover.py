@@ -147,7 +147,8 @@ def _normalize(pi, label):
 
 def _frame(pi1, pi2, delta):
     """Rotate pi1 horizontal; return the data describing where the second
-    slab cuts the first.  `empty`, decided here alone, says the slabs miss."""
+    slab cuts the first.  `empty`, decided here alone, says the slabs miss
+    in B(0, 1): the strip they leave in pi1's frame misses the unit disk."""
     n1, c1 = _normalize(pi1, "first plane")
     n2, c2 = _normalize(pi2, "second plane")
     d = n1.size
@@ -172,10 +173,13 @@ def _frame(pi1, pi2, delta):
         lo = max((-gamma - 2.0 * delta) / m_norm, -radius)
         hi = min((-gamma + 2.0 * delta) / m_norm, radius)
         e_beta = m / m_norm
-        empty = lo > hi
     else:
         lo, hi, e_beta = -radius, radius, np.eye(d - 1)[0]
-        empty = abs(gamma) > 2.0 * delta
+    # on the unit disk |xi'| <= 1, m . xi' + gamma stays within |m| of gamma,
+    # so the strip misses it when |gamma| - 2 delta > |m|; the margin keeps
+    # rounding from emptying a pair that meets
+    reach = m_norm + CANDIDATE_MARGIN * (abs(gamma) + 2.0 * delta + m_norm)
+    empty = abs(gamma) - 2.0 * delta > reach
     return {
         "rotation": house,
         "vertical_center": -c1,
@@ -200,8 +204,9 @@ def slab_intersection_cover(pi1, pi2, delta) -> BoxCover:
 
     Raises when w <= delta (the lemma's hypothesis) and in the
     near-parallel regime where the strip degenerates into a full-width
-    pancake (only reachable for w < 4 delta); slabs that `_frame` finds
-    disjoint give an empty cover.
+    pancake (only reachable for w < 4 delta).  A pair whose strip misses
+    the unit ball, as `_frame` decides, gives an empty cover, even a
+    near-parallel one.
     """
     require_delta(delta)
     fr = _frame(pi1, pi2, delta)
@@ -323,7 +328,8 @@ def verify_cover(pi1, pi2, delta, cover: BoxCover, n_samples=10_000, seed=0):
     the vertical one.  Before any ambient point is built,
     `_second_slab_filter` drops rows that the exact second-slab test would
     reject, from their frame coordinates; the survivors keep their draw
-    order.  A region that `_frame` finds empty is a vacuous pass, flagged."""
+    order.  A region that `_frame` finds empty, whose strip misses the unit
+    ball, is a vacuous "empty intersection" pass that draws no proposal."""
     require_delta(delta)
     require_int("n_samples", n_samples)
     fr = _frame(pi1, pi2, delta)

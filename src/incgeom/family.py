@@ -36,6 +36,12 @@ def require_int(name, value, minimum=1):
     return int(value)
 
 
+def require_kind(kind):
+    """Refuse a family kind outside `KINDS`."""
+    if kind not in KINDS:
+        raise ValueError(f"unknown family kind {kind!r}; expected {KINDS}")
+
+
 def require_delta(delta):
     """Refuse a scale outside the open interval (0, 1), NaN included."""
     if not 0 < delta < 1:
@@ -58,8 +64,7 @@ class Family:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown family kind {self.kind!r}; expected {KINDS}")
+        require_kind(self.kind)
         object.__setattr__(self, "dim", require_int("dimension", self.dim, minimum=2))
         require_delta(self.delta)
         arr = np.array(self.elements, dtype=np.float64, copy=True)

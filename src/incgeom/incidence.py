@@ -202,12 +202,12 @@ def _plane_thresholds(coeffs, cdelta, mode):
     return norms, thresholds
 
 
-def _count_chunk(tree, coeffs, norms, thresholds, cdelta, mode, plane_ids, m):
+def _count_chunk(tree, coeffs, norms, thresholds, cdelta, mode, plane_ids):
     """Counts of the planes `plane_ids` in O(leaves x planes): blocks of
     leaves meet every one of these planes, a leaf skips each plane whose
     slab its widened box misses, and the predicate runs on the leaf's
     points against every other plane, once per leaf."""
-    per_plane = np.zeros(m, dtype=np.int64)
+    per_plane = np.zeros(len(coeffs), dtype=np.int64)
     per_point = np.zeros(tree.points.shape[0], dtype=np.int64)
     planes = coeffs[None, plane_ids]
     slopes = np.abs(coeffs[None, plane_ids, :-1])
@@ -234,22 +234,6 @@ def _count_chunk(tree, coeffs, norms, thresholds, cdelta, mode, plane_ids, m):
     return per_plane, per_point
 
 
-def _kd_counts(pts, coeffs, cdelta, mode, plane_ids, workers, leaf_size):
-    """Per-plane and per-point counts of the planes `plane_ids` by the leaf
-    pass over the points' kd-tree, the planes split into one chunk per thread."""
-    n, m = len(pts), len(coeffs)
-    tree = _PointTree(pts, leaf_size)
-    norms, thresholds = _plane_thresholds(coeffs, cdelta, mode)
-
-    def run(chunk):
-        return _count_chunk(tree, coeffs, norms, thresholds, cdelta, mode, chunk, m)
-
-    per_plane, per_point_perm = _summed_over_threads(run, plane_ids, workers)
-    per_point = np.empty(n, dtype=np.int64)
-    per_point[tree.perm] = per_point_perm
-    return per_plane, per_point
-
-
 # Parallel classes of at least this many planes are swept, the rest go
 # through the leaf pass.  On random points (nothing to drop), 5,000-20,000
 # of them, 1,536 planes, best of 7, 2-core x86, the sweep draws level with
@@ -260,25 +244,17 @@ def _kd_counts(pts, coeffs, cdelta, mode, plane_ids, workers, leaf_size):
 SWEEP_MIN_CLASS = 64
 
 
-def _sweep_class(distinct, first, mult, kept, pts, coeffs, norms, thresholds,
-                 cdelta, mode, planes, per_plane, per_distinct):
-    """Counts for one parallel class `planes` over the `distinct` points,
-    which stand for `mult` points each; `first` maps them to input rows."""
-    # s = fold(a, p) - p_d, bit for bit as in slab_offsets (the + 0.0
-    # intercept is exact); dropped coordinates would only have added zeros
-    s = slab_offsets(distinct, np.append(coeffs[planes[0], kept], 0.0))
-    # points with equal s share one verdict, so the first of them stands for
-    # the rest, with their multiplicities summed in exact int64
-    at, s_inv, _ = distinct_rows(s[:, None])
-    values, rep = s[at], first[at]
-    weight = np.zeros(values.size, dtype=np.int64)
-    np.add.at(weight, s_inv, mult)
-
+def _sweep_class(values, reps, weight, planes, coeffs, norms, thresholds, cdelta, mode):
+    """Window count of the parallel class `planes` over its sorted distinct
+    offsets `values`, where `reps[i]` is a point with offset values[i] that
+    stands for weight[i] points.  Returns the planes' counts and the hits
+    of each value."""
     b = coeffs[planes, -1]
     thr = thresholds[planes]
     w = thr + CANDIDATE_MARGIN * (np.abs(b) + thr + 1.0)
     lo = np.searchsorted(values, -b - w, side="left")
     lengths = np.searchsorted(values, -b + w, side="right") - lo
+    per_plane = np.empty(planes.size, dtype=np.int64)
     per_value = np.zeros(values.size, dtype=np.int64)
     step = max(1, _BATCH_CAP // max(int(lengths.max()), 1))
     for j0 in range(0, planes.size, step):
@@ -287,41 +263,12 @@ def _sweep_class(distinct, first, mult, kept, pts, coeffs, norms, thresholds,
         pair_plane = np.repeat(pl, ln)
         pair_value = np.arange(ends[-1]) + np.repeat(lo[j0:j0 + step] - (ends - ln), ln)
         hit = incidence_mask(
-            pts[rep[pair_value]], coeffs[pair_plane], cdelta, mode,
-            norms=norms[pair_plane],
+            reps[pair_value], coeffs[pair_plane], cdelta, mode, norms=norms[pair_plane],
         )
         cum = np.concatenate([[0], np.cumsum(np.where(hit, weight[pair_value], 0))])
-        per_plane[pl] = cum[ends] - cum[ends - ln]
+        per_plane[j0:j0 + step] = cum[ends] - cum[ends - ln]
         per_value += np.bincount(pair_value[hit], minlength=values.size)
-    per_distinct += per_value[s_inv]
-
-
-def _sweep_counts(pts, coeffs, cdelta, mode, plane_ids, classes, workers):
-    """Per-plane and per-point counts of the planes `plane_ids`, whose
-    parallel-class labels are `classes`, by one sorted sweep per class;
-    the classes are split into one chunk per thread."""
-    d = pts.shape[1]
-    m = len(coeffs)
-    norms, thresholds = _plane_thresholds(coeffs, cdelta, mode)
-    kept = np.flatnonzero((coeffs[plane_ids, :-1] != 0).any(axis=0))
-    if kept.size == 0:  # slab_offsets needs one slope column
-        kept = np.zeros(1, dtype=np.int64)
-    rows = pts[:, np.append(kept, d - 1)]
-    first, inv, mult = distinct_rows(rows)
-    distinct = rows[first]
-    order = np.argsort(classes, kind="stable")
-    groups = np.split(plane_ids[order], np.flatnonzero(np.diff(classes[order])) + 1)
-
-    def run(chunk):
-        per_plane = np.zeros(m, dtype=np.int64)
-        per_distinct = np.zeros(len(distinct), dtype=np.int64)
-        for g in chunk:
-            _sweep_class(distinct, first, mult, kept, pts, coeffs, norms, thresholds,
-                         cdelta, mode, groups[g], per_plane, per_distinct)
-        return per_plane, per_distinct
-
-    per_plane, per_distinct = _summed_over_threads(run, np.arange(len(groups)), workers)
-    return per_plane, per_distinct[inv]
+    return per_plane, per_value
 
 
 def count_incidences_fast(points_fam, planes_fam, cdelta, mode="euclidean",
@@ -345,18 +292,50 @@ def count_incidences_fast(points_fam, planes_fam, cdelta, mode="euclidean",
     per_plane = np.zeros(m, dtype=np.int64)
     per_point = np.zeros(n, dtype=np.int64)
     if n and m:
+        norms, thresholds = _plane_thresholds(coeffs, cdelta, mode)
         _, classes, sizes = distinct_rows(coeffs[:, :-1])
         swept = sizes[classes] >= SWEEP_MIN_CLASS
-        parts = []
         if swept.any():
             ids = np.flatnonzero(swept)
-            parts.append(_sweep_counts(pts, coeffs, cdelta, mode, ids, classes[ids], workers))
-        if not swept.all():
-            ids = np.flatnonzero(~swept)
-            parts.append(_kd_counts(pts, coeffs, cdelta, mode, ids, workers, leaf_size))
-        for plane_part, point_part in parts:
+            kept = np.flatnonzero((coeffs[ids, :-1] != 0).any(axis=0))
+            if kept.size == 0:  # slab_offsets needs one slope column
+                kept = np.zeros(1, dtype=np.int64)
+            rows = pts[:, np.append(kept, -1)]
+            first, inv, mult = distinct_rows(rows)
+            distinct = rows[first]
+            order = ids[np.argsort(classes[ids], kind="stable")]
+            groups = np.split(order, np.flatnonzero(np.diff(classes[order])) + 1)
+
+            def sweep(chunk):
+                plane_part = np.zeros(m, dtype=np.int64)
+                distinct_part = np.zeros(len(distinct), dtype=np.int64)
+                for planes in (groups[g] for g in chunk):
+                    # s = fold(a, p) - p_d, bit for bit as in slab_offsets (the
+                    # + 0.0 intercept is exact); dropped coordinates would only
+                    # have added zeros
+                    s = slab_offsets(distinct, np.append(coeffs[planes[0], kept], 0.0))
+                    # points with equal s share one verdict, so the first of them
+                    # stands for the rest, with their multiplicities summed in
+                    # exact int64
+                    at, s_inv, _ = distinct_rows(s[:, None])
+                    weight = np.zeros(at.size, dtype=np.int64)
+                    np.add.at(weight, s_inv, mult)
+                    plane_part[planes], per_value = _sweep_class(
+                        s[at], pts[first[at]], weight, planes, coeffs, norms, thresholds,
+                        cdelta, mode)
+                    distinct_part += per_value[s_inv]
+                return plane_part, distinct_part
+
+            plane_part, distinct_part = _summed_over_threads(sweep, np.arange(len(groups)), workers)
             per_plane += plane_part
-            per_point += point_part
+            per_point += distinct_part[inv]
+        if not swept.all():
+            tree = _PointTree(pts, leaf_size)
+            plane_part, point_part = _summed_over_threads(
+                lambda chunk: _count_chunk(tree, coeffs, norms, thresholds, cdelta, mode, chunk),
+                np.flatnonzero(~swept), workers)
+            per_plane += plane_part
+            per_point[tree.perm] += point_part
     return _assemble(per_plane.sum(), per_plane, per_point, cdelta, mode, points_fam.delta)
 
 

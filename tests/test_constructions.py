@@ -353,6 +353,14 @@ class TestRandomInput:
         with pytest.raises(ValueError, match=f"^{name} must be an integer"):
             construct_random(*args)
 
+    def test_unknown_kind_is_refused_as_family_refuses_it(self):
+        with pytest.raises(ValueError) as family_err:
+            Family("pts", np.zeros((0, 2)), 0.1, 2)
+        with pytest.raises(ValueError) as random_err:
+            construct_random("pts", 2, 0.1, 3, 0)
+        assert str(random_err.value) == str(family_err.value) == (
+            "unknown family kind 'pts'; expected ('points', 'hyperplanes')")
+
     def test_numpy_integers_accepted(self):
         a = construct_random("points", np.int64(3), 0.1, np.int32(20), 7)
         assert np.array_equal(a.elements, construct_random("points", 3, 0.1, 20, 7).elements)

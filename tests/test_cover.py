@@ -176,12 +176,12 @@ class TestVerifyCover:
             verify_cover(pi1, pi2, DELTA, reference_cover, n_samples=10)
 
 
-def _pancake_pair(slope, factor):
+def _pancake_pair(slope, factor, radius=1.0):
     """PI1 and a plane tilted by `slope` along x_1 whose strip offset gamma
-    is `factor` times the pancake edge 2 delta + |m| (1 + 2 delta), past which
-    the strip |m . xi' + gamma| <= 2 delta leaves the ball of radius 1 + 2 delta."""
+    is `factor` times the edge 2 delta + |m| radius, past which the strip
+    |m . xi' + gamma| <= 2 delta leaves the ball of that radius."""
     s = math.hypot(1.0, slope)
-    edge = 2.0 * DELTA + slope / s * (1.0 + 2.0 * DELTA)
+    edge = 2.0 * DELTA + slope / s * radius
     return PI1, np.array([slope, 0.0, factor * edge * s])
 
 
@@ -216,15 +216,24 @@ class TestEmptiness:
 
     @pytest.mark.parametrize("slope", [DELTA / 8, DELTA / 5])
     def test_just_beyond_the_pancake_edge_is_empty(self, slope):
-        pi1, pi2 = _pancake_pair(slope, 1.0 + 1e-6)
+        self.assert_empty(*_pancake_pair(slope, 1.0 + 1e-6))
+
+    @pytest.mark.parametrize("slope", [DELTA / 8, DELTA / 5])
+    def test_strip_only_in_the_shell_beyond_the_unit_ball_is_empty(self, slope):
+        # 1 < |xi'| <= 1 + 2 delta on the whole strip
+        self.assert_empty(*_pancake_pair(slope, 1.0 - 1e-6, radius=1.0 + 2.0 * DELTA))
+
+    @staticmethod
+    def assert_empty(pi1, pi2):
         cover = slab_intersection_cover(pi1, pi2, DELTA)
         assert cover.boxes == ()
         report = verify_cover(pi1, pi2, DELTA, cover, n_samples=10)
         assert report.vacuous and report.note == "empty intersection"
+        assert report.obtained == 0
 
     @pytest.mark.parametrize("slope", [DELTA / 8, DELTA / 5])
     @pytest.mark.parametrize("factor,note", [
-        # the strip survives only outside the unit ball, so sampling finds nothing
+        # the strip meets the unit ball in a sliver the sampler does not hit
         (1.0 - 1e-6, "no intersection point found in 10000 proposals"),
         (0.5, ""),
     ])

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 
@@ -448,15 +449,24 @@ def _product_planes(d, delta, slopes, sizes, rng, step_exp=0, signed_zeros=False
 
 
 def _spy_paths(monkeypatch):
-    """Record (path, number of planes) for each call of either count path."""
+    """Record (path, number of planes) for each call of either count path:
+    `_sweep_class` takes one parallel class, `_count_chunk` one thread's
+    chunk of the leaf-pass planes."""
     calls = []
-    for name in ("_sweep_counts", "_kd_counts"):
-        def wrapper(pts, coeffs, cdelta, mode, ids, *rest, _name=name, _real=getattr(incidence, name)):
-            calls.append((_name, ids.size))
-            return _real(pts, coeffs, cdelta, mode, ids, *rest)
+    for name, arg in (("_sweep_class", "planes"), ("_count_chunk", "plane_ids")):
+        real = getattr(incidence, name)
+
+        def wrapper(*args, _name=name, _arg=arg, _real=real, _sig=inspect.signature(real)):
+            calls.append((_name, _sig.bind(*args).arguments[_arg].size))
+            return _real(*args)
 
         monkeypatch.setattr(incidence, name, wrapper)
     return calls
+
+
+def _planes_per_path(calls):
+    """The planes each path counted, summed over its calls."""
+    return {name: sum(size for n, size in calls if n == name) for name, _ in calls}
 
 
 class TestParallelClassSweep:
@@ -519,7 +529,7 @@ class TestParallelClassSweep:
                 calls.clear()
                 fast = count_incidences_fast(pts, pls, 2 * delta, mode=mode, workers=workers)
                 assert fast == oracle
-                assert sorted(calls) == [("_kd_counts", 40), ("_sweep_counts", 2 * K + 10)]
+                assert _planes_per_path(calls) == {"_count_chunk": 40, "_sweep_class": 2 * K + 10}
 
     @pytest.mark.parametrize("cap", [1, 100])
     def test_small_batches(self, monkeypatch, cap):
@@ -565,7 +575,7 @@ class TestParallelClassSweep:
         assert len(pts) >= 20
         calls = _spy_paths(monkeypatch)
         assert count_incidences_fast(pts, pls, 0.07) == count_incidences_oracle(pts, pls, 0.07)
-        assert calls == [("_sweep_counts", 200)]
+        assert calls == [("_sweep_class", 200)]
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_all_horizontal_family(self, monkeypatch, d):
@@ -581,7 +591,7 @@ class TestParallelClassSweep:
         for mode, c in itertools.product(("euclidean", "psi"), (1, 2, 16)):
             oracle = count_incidences_oracle(pts, pls, c * delta, mode=mode)
             assert count_incidences_fast(pts, pls, c * delta, mode=mode) == oracle
-        assert set(calls) == {("_sweep_counts", incidence.SWEEP_MIN_CLASS)}
+        assert set(calls) == {("_sweep_class", incidence.SWEEP_MIN_CLASS)}
 
     @pytest.mark.parametrize("c", [1, 2, 3, 4])
     def test_sharp_pair_equals_exact_integer_predicate(self, sharp_pair, c):
@@ -605,6 +615,63 @@ class TestParallelClassSweep:
             for axis, got in ((0, fast.per_plane), (1, fast.per_point)):
                 vals, mult = np.unique(hits.sum(axis=axis), return_counts=True)
                 assert got == tuple(zip(vals.tolist(), mult.tolist()))
+
+
+def _spy(monkeypatch, name):
+    """Record the positional arguments of each call of `incidence.<name>`."""
+    calls = []
+    real = getattr(incidence, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(incidence, name, spy)
+    return calls
+
+
+class TestSetUpPerCall:
+    """One count computes the plane thresholds once and builds only the
+    set-up of the paths it runs."""
+
+    delta = 2.0**-4
+    K = incidence.SWEEP_MIN_CLASS
+
+    def points(self):
+        return construct_grid(3, self.delta, [2.0**-4, 2.0**-3, 2.0**-4])
+
+    def swept(self):
+        return _product_planes(3, self.delta, [(0.75, 0.0), (0.0, -0.75)],
+                               [self.K + 10, self.K], np.random.default_rng(3))
+
+    def singles(self):
+        return construct_random("hyperplanes", 3, self.delta, 40, seed=9)
+
+    def test_mixed_family_computes_thresholds_once(self, monkeypatch):
+        pts = self.points()
+        pls = Family(kind="hyperplanes", delta=self.delta, dim=3,
+                     elements=np.concatenate([self.swept().elements, self.singles().elements]))
+        calls = _spy(monkeypatch, "_plane_thresholds")
+        paths = _spy_paths(monkeypatch)
+        for workers in (1, 2):
+            calls.clear()
+            count_incidences_fast(pts, pls, 2 * self.delta, workers=workers)
+            assert len(calls) == 1
+        assert {name for name, _ in paths} == {"_sweep_class", "_count_chunk"}
+
+    def test_all_swept_family_builds_no_tree(self, monkeypatch):
+        pts, pls = self.points(), self.swept()
+        trees = _spy(monkeypatch, "_PointTree")
+        fast = count_incidences_fast(pts, pls, 2 * self.delta)
+        assert trees == []
+        assert fast == count_incidences_oracle(pts, pls, 2 * self.delta)
+
+    def test_singleton_classes_dedup_no_point_rows(self, monkeypatch):
+        pts, pls = self.points(), self.singles()
+        rows = _spy(monkeypatch, "distinct_rows")
+        fast = count_incidences_fast(pts, pls, 2 * self.delta)
+        assert [args[0].shape for args in rows] == [(40, 2)]  # the class split alone
+        assert fast == count_incidences_oracle(pts, pls, 2 * self.delta)
 
 
 class TestAnnuli:

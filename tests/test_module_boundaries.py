@@ -64,8 +64,8 @@ def _rule_strings(paths, phrase):
                 yield f"{path.name}:{node.lineno}"
 
 
-# family.require_delta and geometry.require_mode
-RULES = ("delta must lie in (0, 1)", "unknown mode")
+# family.require_delta, geometry.require_mode and family.require_kind
+RULES = ("delta must lie in (0, 1)", "unknown mode", "unknown family kind")
 
 
 @pytest.mark.parametrize("phrase", RULES)
