@@ -16,6 +16,8 @@ Two numeric rules keep every fast path bit for bit equal to the oracle:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # Slope cap for validated input: the code-space/affine-metric equivalence
@@ -134,16 +136,47 @@ def distinct_rows(rows):
     the index of each one's first occurrence, each row's index among them,
     and their multiplicities.  This is what `np.unique(rows, axis=0,
     return_index=True, return_inverse=True, return_counts=True)` returns
-    besides the rows, from one stable lexsort over the columns and a row
-    difference; rows compare by value, so -0.0 equals 0.0."""
-    order = np.lexsort(rows.T[::-1])
-    ranked = rows[order]
+    besides the rows, from one stable sort and a difference of neighbours.
+    Integer rows whose box holds fewer than 2^63 cells sort one mixed-radix
+    int64 key, the first column most significant, whose order is the
+    lexicographic one; other rows take a lexsort over the columns and
+    compare by value, so -0.0 equals 0.0."""
+    key = _packed_key(rows)
+    if key is None:
+        order = np.lexsort(rows.T[::-1])
+        ranked = rows[order]
+        changed = np.any(ranked[1:] != ranked[:-1], axis=1)
+    else:
+        order = np.argsort(key, kind="stable")
+        ranked = key[order]
+        changed = ranked[1:] != ranked[:-1]
     new = np.ones(len(order), dtype=bool)
-    new[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    new[1:] = changed
     starts = np.flatnonzero(new)
     inverse = np.empty(len(order), dtype=np.int64)
     inverse[order] = np.cumsum(new) - 1
     return order[starts], inverse, np.diff(np.append(starts, len(order)))
+
+
+def _packed_key(rows):
+    """Each integer row's place in its bounding box, in C order, as one
+    int64; None for float, empty or unsigned rows and for a box of 2^63 or
+    more cells.  Per-column reductions run over the rows of the (k, n)
+    transpose, which a column-major `rows` gives without a copy."""
+    if rows.dtype.kind != "i" or len(rows) == 0:
+        return None
+    cols = np.ascontiguousarray(rows.T, dtype=np.int64)
+    low = cols.min(axis=1)
+    # Python ints: the spans and their product must not wrap
+    spans = [hi - lo + 1 for lo, hi in zip(low.tolist(), cols.max(axis=1).tolist())]
+    if math.prod(spans) >= 2**63:
+        return None
+    # every partial key is below the product of the spans read so far
+    key = cols[0] - low[0]
+    for col, lo, span in zip(cols[1:], low[1:], spans[1:]):
+        key *= span
+        key += col - lo
+    return key
 
 
 def affine_metric(coeffs1, coeffs2):

@@ -68,6 +68,25 @@ int64, float64 and the stencil's integer square roots.  The same guard
 keeps the shortcut's squared distances exact.  Past it g = 1, and a dense
 grid, within DENSE_LIMIT < 2^26 cells, bounds sum_k c_k^2 below 2^52.
 
+Cells are floor(x / rho) in int64.  Where one falls outside [-2^63, 2^63)
+the cast would wrap, so covering numbers and both profiles refuse the
+family with ValueError instead.
+
+Point separation is found on the lattice, with no distance evaluated, when
+delta is a power of two no smaller than 2^-537, every coordinate is a
+multiple of it (floor(x / delta) == x / delta), the guard above holds and
+no cell holds two points.  Then each coordinate difference (c - c') delta,
+its square and their sum are exact floats, in a kd-tree as in a scan, so
+the least distance is sqrt(q delta^2) bit for bit, q the least weighted
+length sum_k g_k^2 o_k^2 of a step o of u that joins two occupied cells.
+The steps with |o_k| <= 2 in the half-space o > 0 (lexicographically), in
+increasing q, are tested with one gather each on an occupancy grid of u
+padded by 2, and the first hit is the minimum.  Only steps with q < 9
+min_k g_k^2 are tested: a step longer than 2 on some axis k has q >= 9
+g_k^2, so below that bound none is missed.  A family that fails a
+condition, whose padded grid exceeds DENSE_LIMIT, or with no hit takes a
+kd-tree.
+
 Hyperplane separation is exact at any size: embedded as (unit normal,
 normalised intercept), planes are no farther apart than in the affine
 metric and at least 1/sqrt(2) as far, so a kd-tree proposes every pair that
@@ -141,15 +160,17 @@ def covering_number(fam: Family, rho) -> int:
         raise ValueError(f"rho must be positive, got {rho}")
     if len(fam) == 0:
         return 0
-    cells = np.floor(measurement_coordinates(fam) / rho).astype(np.int64)
-    return int(distinct_rows(cells)[0].size)
+    return int(distinct_rows(_floor_cells(measurement_coordinates(fam), rho))[0].size)
 
 
 def min_separation(fam: Family) -> float:
     """Minimum pairwise distance: Euclidean for points, affine metric for
     hyperplanes.  Returns +inf for families with fewer than two elements.
-    Point pairs whose squared distance underflows to 0 are measured again
-    with `geometry.root_sum_squares`, so distinct points stay apart.
+    Points on their delta-lattice are measured there, with no distance
+    evaluated, where the lattice argument of the module docstring holds;
+    any other points family takes a kd-tree, whose pairs with a squared
+    distance that underflows to 0 are measured again with
+    `geometry.root_sum_squares`, so distinct points stay apart.
     Planes embed as (unit normal, normalised intercept) vectors x, and
     sqrt(a^2 + b^2) <= a + b <= sqrt(2 (a^2 + b^2)) gives |x - x'| <= d_A <=
     sqrt(2) |x - x'|: the pairs within sqrt(2) times the least embedded
@@ -159,6 +180,9 @@ def min_separation(fam: Family) -> float:
     if n < 2:
         return math.inf
     if fam.kind == "points":
+        least = _lattice_separation(fam)
+        if least is not None:
+            return least
         # sliding-midpoint splits and uncompacted nodes build and query
         # faster on lattice families; the distances are the same
         tree = cKDTree(fam.elements, balanced_tree=False, compact_nodes=False)
@@ -176,6 +200,90 @@ def min_separation(fam: Family) -> float:
     reach = math.sqrt(2.0) * float(dist[:, 1].min()) * (1.0 + CANDIDATE_MARGIN)
     i, j = tree.query_pairs(reach, output_type="ndarray").T
     return float(affine_metric(fam.elements[i], fam.elements[j]).min())
+
+
+def _floor_cells(coords, rho):
+    """floor(coords / rho) as int64: the cells of the rho-grid anchored at
+    the origin.  The (n, d) result is a view of a (d, n) array, so that
+    per-axis reductions run over contiguous rows.  Refuses with ValueError
+    when some floor(x / rho) lies outside [-2^63, 2^63), where the cast
+    would wrap."""
+    with np.errstate(over="ignore"):
+        floored = np.divide(coords.T, rho, order="C")
+    np.floor(floored, out=floored)
+    # NaN fails both tests
+    if not (floored.min() >= -(2.0**63) and floored.max() < 2.0**63):
+        raise ValueError(
+            f"cell index overflows int64 at cell width {rho!r}: |x / rho| reaches "
+            f"{float(np.max(np.abs(floored))):.3g}"
+        )
+    return floored.astype(np.int64).T
+
+
+def _lattice_index(coords, delta):
+    """A family's cells on its own lattice (module docstring): the floor
+    cells, the first element of each distinct cell, those cells' offsets
+    from their least corner and the offsets' box, whether squared lattice
+    distances in that box are exact, the per-axis stride g, and u = offsets
+    // g with its box."""
+    cells = _floor_cells(coords, delta)
+    first = distinct_rows(cells)[0]
+    # (d, cover): the reductions run along contiguous rows
+    cols = cells.T.take(first, axis=1)
+    cols -= cols.min(axis=1, keepdims=True)
+    shape = cols.max(axis=1) + 1
+    # while every squared distance within the offsets' box is below 2^52, so
+    # is every weighted square of the plan: exact in int64, float64 and _isqrt
+    exact = len(shape) * int(shape.max() - 1) ** 2 < 2**52
+    stride = np.ones(len(shape), dtype=np.int64)
+    if exact:
+        stride = np.maximum(np.gcd.reduce(cols, axis=1), 1)
+    u = cols // stride[:, None]
+    return cells, first, cols.T, shape, exact, stride, u.T, (shape - 1) // stride + 1
+
+
+def _lattice_separation(fam: Family):
+    """The kd-tree's minimum distance of a points family, found on its
+    lattice (module docstring), or None where the argument does not apply:
+    a delta that is no power of two or whose square is not exact, cells
+    past int64, coordinates off the delta-lattice, squared distances past
+    the `exact` guard, two points in one cell, a padded grid over
+    DENSE_LIMIT, or no hit among the offsets searched."""
+    mantissa, exponent = math.frexp(fam.delta)
+    # delta = 2^(exponent - 1); its square, and the square's integer
+    # multiples below 2^53, are exact down to the least subnormal 2^-1074
+    if mantissa != 0.5 or 2 * (exponent - 1) < -1074:
+        return None
+    try:
+        cells, first, _, _, exact, stride, u, u_shape = _lattice_index(fam.elements, fam.delta)
+    except ValueError:  # cells past int64
+        return None
+    if not (exact and first.size == len(fam)
+            and np.array_equal(cells, fam.elements / fam.delta)):
+        return None
+    pad = 2  # the steps searched per axis
+    grid = u_shape + 2 * pad
+    size = math.prod(grid.tolist())
+    if size > DENSE_LIMIT:
+        return None
+    # flat C-order indices of the padded grid
+    strides = np.append(np.cumprod(grid[:0:-1])[::-1], 1)
+    keys = (u + pad) @ strides
+    occupied = np.zeros(size, dtype=bool)
+    occupied[keys] = True
+    # the steps after the origin in lexicographic order are the half-space
+    # o > 0 lexicographically, which meets every pair once
+    steps = np.array(list(itertools.product(range(-pad, pad + 1), repeat=fam.dim)))
+    steps = steps[len(steps) // 2 + 1:]
+    q = np.sum((steps * stride) ** 2, axis=1)
+    # a step past pad on axis k has q >= (pad + 1)^2 g_k^2: below this bound
+    # the steps searched are every step there is
+    kept = np.flatnonzero(q < (pad + 1) ** 2 * int(stride.min()) ** 2)
+    kept = kept[np.argsort(q[kept], kind="stable")]
+    for shift, least in zip((steps[kept] @ strides).tolist(), q[kept].tolist()):
+        if occupied.take(keys + shift).any():
+            return math.sqrt(least * (fam.delta * fam.delta))
+    return None
 
 
 def _scale_radii(delta):
@@ -347,23 +455,10 @@ def _scale_profile(fam: Family):
         raise ValueError("regularity profile of an empty family")
     delta = fam.delta
     metric = "euclidean" if fam.kind == "points" else "chebyshev"
-    coords = measurement_coordinates(fam)
-    cells = np.floor(coords / delta).astype(np.int64)
-    first_idx = distinct_rows(cells)[0]
+    _, first_idx, offsets, shape, exact, stride, u, u_shape = _lattice_index(
+        measurement_coordinates(fam), delta)
     cover = first_idx.size
-    offsets = cells[first_idx]
-    offsets -= offsets.min(axis=0)
-    shape = offsets.max(axis=0) + 1
-    # while every squared distance within the offsets' box is below 2^52, so
-    # is every weighted square of the plan: exact in int64, float64 and _isqrt
-    exact = fam.dim * int(shape.max() - 1) ** 2 < 2**52
-    # the grids count u = offsets // g on the family's own lattice
-    stride = np.ones(fam.dim, dtype=np.int64)
-    if exact:
-        stride = np.maximum(np.gcd.reduce(offsets, axis=0), 1)
     weights = stride * stride
-    u = offsets // stride
-    u_shape = (shape - 1) // stride + 1
 
     radii = _scale_radii(delta)
     corner2 = None
@@ -450,8 +545,7 @@ def _affine_profile(fam: Family):
     if n == 0:
         raise ValueError("regularity profile of an empty family")
     delta = fam.delta
-    cells = np.floor(code_coordinates(fam.elements) / delta).astype(np.int64)
-    _, inverse, sizes = distinct_rows(cells)
+    _, inverse, sizes = distinct_rows(_floor_cells(code_coordinates(fam.elements), delta))
     # columns grouped by cell, so that one reduceat per scale gives the
     # (element, cell) hits
     by_cell = fam.elements[np.argsort(inverse, kind="stable")][None, :, :]

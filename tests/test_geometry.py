@@ -413,3 +413,43 @@ def test_distinct_rows_signed_zeros_and_no_rows():
     for dtype in (np.int64, np.float64):
         assert [part.size for part in distinct_rows(np.empty((0, 3), dtype=dtype))] == [0, 0, 0]
         _assert_unique_parts(np.empty((0, 3), dtype=dtype))
+
+
+def _sorts_by_lexsort(rows, monkeypatch):
+    calls = []
+    real = np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(1) or real(keys))
+    distinct_rows(rows)
+    monkeypatch.undo()
+    return bool(calls)
+
+
+@pytest.mark.parametrize("rows", [
+    np.array([[3, -7], [-2, 5], [3, -7], [-2, -9], [0, 0], [-2, 5]]),
+    np.array([[4], [-1], [4], [-3], [-1]]),
+    np.empty((0, 3), dtype=np.int64),
+    np.array([[5, 1], [-5, 0], [5, 1]], dtype=np.int32),
+], ids=["negative", "one-column", "empty", "int32"])
+def test_packed_key_equals_numpy_unique(rows, monkeypatch):
+    _assert_unique_parts(rows)
+    assert _sorts_by_lexsort(rows, monkeypatch) == (len(rows) == 0)
+
+
+@pytest.mark.parametrize("low, packed", [(0, True), (-1, False)])
+def test_packed_key_stops_at_the_int64_edge(low, packed, monkeypatch):
+    # one column spanning 2^63 - 1 values packs; spanning 2^63, it does not
+    top = 2**63 - 2
+    one = np.array([[top], [low], [top], [7], [low]], dtype=np.int64)
+    # two columns whose box holds 2^31 (2^32 - 1) = 2^63 - 2^31 cells, then 2^63
+    span = 2**32 - (1 if packed else 0)
+    two = np.array([[0, 0], [2**31 - 1, span - 1], [0, 0], [5, span - 1], [5, 3]],
+                   dtype=np.int64)
+    for rows in (one, two):
+        _assert_unique_parts(rows)
+        assert _sorts_by_lexsort(rows, monkeypatch) != packed
+
+
+def test_packed_key_reads_column_major_rows():
+    rows = np.asfortranarray(np.random.default_rng(0).integers(-50, 50, size=(400, 3)))
+    rows[200:] = rows[:200]
+    _assert_unique_parts(rows)

@@ -64,8 +64,10 @@ def _rule_strings(paths, phrase):
                 yield f"{path.name}:{node.lineno}"
 
 
-# family.require_delta, geometry.require_mode and family.require_kind
-RULES = ("delta must lie in (0, 1)", "unknown mode", "unknown family kind")
+# family.require_delta, geometry.require_mode, family.require_kind and the
+# int64 cell floor, regularity._floor_cells
+RULES = ("delta must lie in (0, 1)", "unknown mode", "unknown family kind",
+         "cell index overflows int64")
 
 
 @pytest.mark.parametrize("phrase", RULES)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -1003,6 +1004,7 @@ class TestPointSeparationMatchesScan:
         rng = np.random.default_rng(seed)
         pts = np.unique(rng.integers(-8, 9, size=(600, d)) / 8.0, axis=0)
         assert min_separation(_points(pts)) == _brute_force_separation(pts) == 0.125
+        assert regularity._lattice_separation(_points(pts)) == 0.125
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_lattice_with_duplicates_and_a_close_pair(self, d):
@@ -1023,6 +1025,7 @@ class TestPointSeparationMatchesScan:
             raise AssertionError("pairs measured again")
 
         monkeypatch.setattr("incgeom.regularity.root_sum_squares", refuse)
+        monkeypatch.setattr(regularity, "_lattice_separation", lambda fam: None)
         pts = _lattice_ball(3, 4) / 8.0
         assert min_separation(_points(pts)) == 0.125
         with pytest.raises(AssertionError, match="measured again"):
@@ -1034,6 +1037,144 @@ class TestPointSeparationMatchesScan:
         pts = np.vstack([_lattice_ball(d, 2) / 8.0, np.eye(d)[0] * 1e-200])
         assert min_separation(_points(pts)) == 1e-200
         assert min_separation(_points(np.vstack([pts, pts[3]]))) == 0.0
+
+
+def _separations(fam, monkeypatch):
+    """The lattice search's answer (None where it does not apply), that of
+    `min_separation`, and that of its kd-tree alone."""
+    lattice = regularity._lattice_separation(fam)
+    got = min_separation(fam)
+    with monkeypatch.context() as m:
+        m.setattr(regularity, "_lattice_separation", lambda fam: None)
+        kd = min_separation(fam)
+    return lattice, got, kd
+
+
+def _same_bits(*values):
+    return len({np.float64(v).tobytes() for v in values}) == 1
+
+
+class TestLatticeSeparation:
+    @pytest.mark.parametrize("d, k, s", [(2, 4, 1.75), (2, 6, 1.75), (3, 4, 1.75),
+                                         (3, 5, 1.25), (4, 4, 1.25), (4, 4, 1.0)])
+    def test_sharp_points_equal_brute_force(self, d, k, s, monkeypatch):
+        points, _ = construct_sharp(ConstructionSpec(d=d, delta=2.0**-k, s=s, t=s))
+        lattice, got, kd = _separations(points, monkeypatch)
+        assert lattice is not None
+        assert _same_bits(lattice, got, kd, _brute_force_separation(points.elements))
+
+    @pytest.mark.parametrize("d, k, s", [(3, 6, 1.75), (4, 5, 1.0)])
+    def test_larger_sharp_points_equal_the_kd_tree(self, d, k, s, monkeypatch):
+        # a scan of these 36,465 and 19,074 points would take seconds
+        points, _ = construct_sharp(ConstructionSpec(d=d, delta=2.0**-k, s=s, t=s))
+        lattice, got, kd = _separations(points, monkeypatch)
+        assert lattice is not None and _same_bits(lattice, got, kd)
+
+    @pytest.mark.parametrize("stride", [(3, 1), (4, 2, 1), (2, 3, 5), (1, 1, 6, 2)])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_coarser_lattices(self, stride, seed, monkeypatch):
+        # strides past 1 weight the steps: the nearest pair may lie along
+        # any axis, or on a diagonal
+        rng = np.random.default_rng(seed)
+        cells = np.unique(rng.integers(0, 12, size=(150, len(stride))) * stride, axis=0)
+        pts = cells * 2.0**-7
+        fam = _points(pts, 2.0**-7)
+        assert np.all(regularity._lattice_index(pts, 2.0**-7)[5] % stride == 0)
+        lattice, got, kd = _separations(fam, monkeypatch)
+        assert lattice is not None
+        assert _same_bits(lattice, got, kd, _brute_force_separation(pts))
+
+    @pytest.mark.parametrize("name, pts, delta", [
+        # the nearest pair is 7 steps apart, past the +-2-step search
+        ("past-the-search", np.array([[0, 0], [7, 0], [100, 0]]) * 2.0**-7, 2.0**-7),
+        # 3 steps: the first length the search cannot vouch for
+        ("just-past-the-search", np.array([[0, 0], [3, 0], [100, 0]]) * 2.0**-7, 2.0**-7),
+        # a pair on the (2, 2, 2) diagonal, q = 12, is in the search, but a pair
+        # 3 steps apart, q = 9, is nearer and is not
+        ("diagonal-in-the-search",
+         np.array([[0, 0, 0], [2, 2, 2], [10, 0, 0], [13, 0, 0], [20, 21, 23]]) * 2.0**-7,
+         2.0**-7),
+        ("off-the-lattice", np.random.default_rng(4).random((300, 3)) * 0.5, 2.0**-6),
+        # x / 0.1 is an integer for these x = k 0.1, but 0.1 is no power of two
+        ("non-dyadic-delta", np.array(list(itertools.product((0, 1, 2, 4, 5, 7), repeat=2)))
+         * 0.1, 0.1),
+        ("two-in-a-cell", np.array([[0, 0], [3, 1], [5, 5], [3, 1]]) * 2.0**-6, 2.0**-6),
+        # a padded occupancy grid of 16388^2 cells, over DENSE_LIMIT
+        ("grid-too-large", np.array([[0, 0], [1, 0], [0, 1], [2**14 - 1, 2**14 - 1]])
+         * 2.0**-14,
+         2.0**-14),
+    ])
+    def test_other_families_take_the_kd_tree(self, name, pts, delta, monkeypatch):
+        lattice, got, kd = _separations(_points(pts, delta), monkeypatch)
+        assert lattice is None
+        assert _same_bits(got, kd, _brute_force_separation(pts))
+
+    def test_kd_tree_is_built_only_off_the_lattice(self, monkeypatch):
+        built = []
+        real = regularity.cKDTree
+
+        def spy(data, **kwargs):
+            built.append(len(data))
+            return real(data, **kwargs)
+
+        monkeypatch.setattr(regularity, "cKDTree", spy)
+        points, _ = construct_sharp(ConstructionSpec(d=3, delta=2.0**-5, s=1.75, t=1.75))
+        min_separation(points)
+        assert built == []
+        min_separation(construct_random("points", 3, 2.0**-5, 500, seed=2))
+        assert built == [500]
+
+    def test_delta_whose_square_underflows_takes_the_kd_tree(self):
+        # 2^-540 squared is below the least subnormal, 2^-1074: q delta^2
+        # would be 0, and the kd-tree's zero is measured again instead
+        pts = np.array([[0, 0], [1, 0], [0, 3]]) * 2.0**-540
+        assert regularity._lattice_separation(_points(pts, 2.0**-540)) is None
+        assert min_separation(_points(pts, 2.0**-540)) == 2.0**-540
+
+    def test_cells_past_int64_take_the_kd_tree(self):
+        # a dyadic delta whose cells, 2^99 and up, do not fit int64
+        pts = np.array([[0.5, 0.5], [0.5, 0.75], [0.75, 0.75]])
+        assert regularity._lattice_separation(_points(pts, 2.0**-100)) is None
+        assert min_separation(_points(pts, 2.0**-100)) == 0.25
+
+
+class TestCellOverflow:
+    """Cells of |x / rho| >= 2^63 would wrap in the int64 cast: every grid
+    refuses them rather than count wrapped cells."""
+
+    PTS = np.array([[0.1, 0.2], [0.3, 0.4], [0.5, 0.1]])
+
+    def test_covering_number_refuses(self):
+        with pytest.raises(ValueError, match="cell index overflows int64"):
+            covering_number(_points(self.PTS, 0.5), 1e-30)
+
+    def test_profiles_refuse(self):
+        fam = _points(self.PTS, 1e-30)
+        with pytest.raises(ValueError, match="cell index overflows int64"):
+            regularity_constant(fam, 1.0)
+        with pytest.raises(ValueError, match="cell index overflows int64"):
+            regularity_constant(_planes(self.PTS * [0.1, 1.0], 1e-30), 1.0,
+                                use_affine_metric=True)
+
+    def test_separation_is_still_measured(self):
+        # the kd-tree's value, as before the refusal
+        assert min_separation(_points(self.PTS, 1e-30)) == 0.282842712474619
+        assert _brute_force_separation(self.PTS) == 0.282842712474619
+
+    def test_summary_records_the_refusal(self):
+        from incgeom.harness import _family_summary
+
+        info = _family_summary(_points(self.PTS, 1e-30), 1.0)
+        assert info["min_separation"] == 0.282842712474619
+        assert info["regularity"] is None
+        assert info["regularity_note"].startswith("skipped: cell index overflows int64")
+
+    def test_largest_castable_cells_are_kept(self):
+        # |x / rho| just below 2^63 casts exactly; at 2^63 it would wrap
+        pts = np.array([[0.5, 0.0], [0.25, 0.0]])
+        assert covering_number(_points(pts), 2.0**-63) == 2
+        with pytest.raises(ValueError, match="cell index overflows int64"):
+            covering_number(_points(pts), 2.0**-64)
 
 
 class TestAffineMetricVariant:
