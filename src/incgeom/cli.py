@@ -159,6 +159,7 @@ def build_parser():
     counting.add_argument("--mode", choices=MODES, default="euclidean",
                           help="slab predicate: euclidean distance or raw offset")
     counting.add_argument("--workers", type=int, default=1)
+    counting.add_argument("--counter", choices=["fast", "oracle"], default="fast")
     seed = argparse.ArgumentParser(add_help=False)
     seed.add_argument("--seed", type=int, default=0)
     out = argparse.ArgumentParser(add_help=False)
@@ -188,7 +189,6 @@ def build_parser():
                        help="count incidences and emit a JSON report")
     p.add_argument("--points", default=None, help="points file (else construct)")
     p.add_argument("--planes", default=None, help="hyperplanes file")
-    p.add_argument("--counter", choices=["fast", "oracle"], default="fast")
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("bounds", parents=[shape, scale, out],
@@ -210,7 +210,6 @@ def build_parser():
     p = sub.add_parser("sweep", parents=[shape, counting, out], allow_abbrev=False,
                        help="repeat a count across several deltas")
     p.add_argument("--deltas", required=True, help="comma list, e.g. 2^-5,2^-6")
-    p.add_argument("--counter", choices=["fast", "oracle"], default="fast")
     p.add_argument("--max-ratio", type=float, default=None,
                    help="fail if any ratio exceeds this")
     p.add_argument("--max-spread", type=float, default=None,

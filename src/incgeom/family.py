@@ -48,6 +48,12 @@ def require_delta(delta):
         raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
 
 
+def require_exponent(name, value, dim):
+    """Refuse an exponent outside [0, dim], NaN included."""
+    if not 0.0 <= value <= dim:
+        raise ValueError("exponent {} must lie in [0, {}], got {}".format(name, dim, value))
+
+
 @dataclass(frozen=True)
 class Family:
     """A delta-annotated collection of points or hyperplanes.

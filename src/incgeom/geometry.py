@@ -40,6 +40,12 @@ def require_mode(mode):
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
 
 
+def require_positive(name, value):
+    """Refuse a value that is not positive, NaN included."""
+    if not value > 0:
+        raise ValueError(f"{name} must be positive, got {value!r}")
+
+
 def fold_dot(a, b):
     """a_0 b_0 + ... + a_{k-1} b_{k-1} over the last axis of broadcastable
     arrays, as a fixed left fold of separate elementwise operations.  Unlike
@@ -108,8 +114,7 @@ def incidence_mask(points, coeffs, cdelta, mode="euclidean", norms=None):
 
 def incidence_predicate(p, pi, cdelta, mode="euclidean"):
     """Whether the point lies in the closed cdelta-neighborhood of the plane."""
-    if not cdelta > 0:
-        raise ValueError(f"cdelta must be positive, got {cdelta}")
+    require_positive("cdelta", cdelta)
     return bool(incidence_mask(p, pi, cdelta, mode))
 
 

@@ -18,8 +18,8 @@ from typing import Optional
 from ._version import __version__
 from .bounds import bound_table
 from .constructions import ConstructionSpec, construct_sharp
-from .family import Family, read_family, require_int
-from .geometry import require_mode
+from .family import Family, read_family, require_exponent, require_int
+from .geometry import require_mode, require_positive
 from .incidence import count_incidences_fast, count_incidences_oracle
 from .regularity import min_separation, regularity_constant
 
@@ -40,13 +40,11 @@ class ExperimentConfig:
     planes_path: Optional[str] = None
 
     def __post_init__(self):
-        if not self.C > 0:
-            raise ValueError(f"C must be positive, got {self.C!r}")
+        require_positive("C", self.C)
         object.__setattr__(self, "dim", require_int("dimension", self.dim, minimum=2))
         object.__setattr__(self, "workers", require_int("workers", self.workers))
         for name, v in (("s", self.s), ("t", self.t)):
-            if not 0.0 <= v <= self.dim:
-                raise ValueError(f"exponent {name} must lie in [0, {self.dim}], got {v}")
+            require_exponent(name, v, self.dim)
         require_mode(self.mode)
         if self.counter not in ("fast", "oracle"):
             raise ValueError(f"counter must be fast or oracle, got {self.counter!r}")
@@ -85,8 +83,7 @@ def _family_summary(fam: Family, exponent):
         "min_separation": float(min_separation(fam)),
     }
     try:
-        rep = regularity_constant(fam, exponent)
-        info["regularity"] = rep.to_dict()
+        info["regularity"] = regularity_constant(fam, exponent).to_dict()
     except ValueError as e:
         info["regularity"] = None
         info["regularity_note"] = f"skipped: {e}"

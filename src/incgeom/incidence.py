@@ -45,8 +45,8 @@ from scipy.spatial import cKDTree
 
 from .family import Family, require_int
 from .geometry import (CANDIDATE_MARGIN, affine_metric, check_plane_coeffs, distinct_rows,
-                       fold_dot, incidence_mask, require_mode, slab_offsets,
-                       unit_normal_norms)
+                       fold_dot, incidence_mask, require_mode, require_positive,
+                       slab_offsets, unit_normal_norms)
 
 DEFAULT_LEAF_SIZE = 128
 
@@ -104,8 +104,7 @@ def _prepare(points_fam: Family, planes_fam: Family, cdelta, mode, workers):
         raise ValueError(
             f"scale mismatch: points delta {points_fam.delta!r}, planes delta {planes_fam.delta!r}"
         )
-    if not cdelta > 0:
-        raise ValueError(f"cdelta must be positive, got {cdelta}")
+    require_positive("cdelta", cdelta)
     if not np.isfinite(points_fam.elements).all():
         raise ValueError("points must have finite coordinates")
     if not np.isfinite(planes_fam.elements).all():

@@ -79,13 +79,13 @@ no cell holds two points.  Then each coordinate difference (c - c') delta,
 its square and their sum are exact floats, in a kd-tree as in a scan, so
 the least distance is sqrt(q delta^2) bit for bit, q the least weighted
 length sum_k g_k^2 o_k^2 of a step o of u that joins two occupied cells.
-The steps with |o_k| <= 2 in the half-space o > 0 (lexicographically), in
-increasing q, are tested with one gather each on an occupancy grid of u
-padded by 2, and the first hit is the minimum.  Only steps with q < 9
-min_k g_k^2 are tested: a step longer than 2 on some axis k has q >= 9
-g_k^2, so below that bound none is missed.  A family that fails a
-condition, whose padded grid exceeds DENSE_LIMIT, or with no hit takes a
-kd-tree.
+With no sort, an occupancy grid of u padded by 2 shows one point per cell
+(as many occupied cells as points) and tests the steps with |o_k| <= 2 in
+the half-space o > 0 (lexicographically), in increasing q, with one gather
+each: the first hit is the minimum.  Only steps with q < 9 min_k g_k^2 are
+tested: a step longer than 2 on some axis k has q >= 9 g_k^2, so below that
+bound none is missed.  A family that fails a condition, whose padded grid
+exceeds DENSE_LIMIT, or with no hit takes a kd-tree.
 
 Hyperplane separation is exact at any size: embedded as (unit normal,
 normalised intercept), planes are no farther apart than in the affine
@@ -104,9 +104,9 @@ from scipy.fft import irfftn, next_fast_len, rfftn
 from scipy.signal import fftconvolve  # noqa: F401  (perfbench/tracing.py wraps this name)
 from scipy.spatial import cKDTree
 
-from .family import Family
+from .family import Family, require_exponent
 from .geometry import (CANDIDATE_MARGIN, affine_metric, code_coordinates, distinct_rows,
-                       root_sum_squares, unit_normals)
+                       require_positive, root_sum_squares, unit_normals)
 
 # Cells a dense count may allocate (the code-max summed-area table, or the
 # Euclidean stencil or FFT grid of one scale) and the fallback tree limit;
@@ -156,8 +156,7 @@ def measurement_coordinates(fam: Family):
 
 def covering_number(fam: Family, rho) -> int:
     """Number of occupied cells of the rho-grid anchored at the origin."""
-    if not rho > 0:
-        raise ValueError(f"rho must be positive, got {rho}")
+    require_positive("rho", rho)
     if len(fam) == 0:
         return 0
     return int(distinct_rows(_floor_cells(measurement_coordinates(fam), rho))[0].size)
@@ -220,26 +219,20 @@ def _floor_cells(coords, rho):
     return floored.astype(np.int64).T
 
 
-def _lattice_index(coords, delta):
-    """A family's cells on its own lattice (module docstring): the floor
-    cells, the first element of each distinct cell, those cells' offsets
-    from their least corner and the offsets' box, whether squared lattice
-    distances in that box are exact, the per-axis stride g, and u = offsets
-    // g with its box."""
-    cells = _floor_cells(coords, delta)
-    first = distinct_rows(cells)[0]
-    # (d, cover): the reductions run along contiguous rows
-    cols = cells.T.take(first, axis=1)
+def _lattice(cols):
+    """The lattice of a (d, m) int64 cell array (module docstring), which it
+    owns and turns into u in place: whether squared lattice distances in the
+    cells' box are exact, the per-axis stride g, u = (cells - least) // g as
+    an (m, d) view, and u's box.  Min, max and gcd over repeated cells are
+    those over the distinct cells, so repeats leave the lattice as it is."""
     cols -= cols.min(axis=1, keepdims=True)
-    shape = cols.max(axis=1) + 1
-    # while every squared distance within the offsets' box is below 2^52, so
-    # is every weighted square of the plan: exact in int64, float64 and _isqrt
-    exact = len(shape) * int(shape.max() - 1) ** 2 < 2**52
-    stride = np.ones(len(shape), dtype=np.int64)
-    if exact:
-        stride = np.maximum(np.gcd.reduce(cols, axis=1), 1)
-    u = cols // stride[:, None]
-    return cells, first, cols.T, shape, exact, stride, u.T, (shape - 1) // stride + 1
+    span = cols.max(axis=1)
+    # while every squared distance within the box is below 2^52, so is every
+    # weighted square of the plan: exact in int64, float64 and _isqrt
+    exact = len(span) * int(span.max()) ** 2 < 2**52
+    stride = np.maximum(np.gcd.reduce(cols, axis=1), 1) if exact else np.ones_like(span)
+    cols //= stride[:, None]
+    return exact, stride, cols.T, span // stride + 1
 
 
 def _lattice_separation(fam: Family):
@@ -247,30 +240,29 @@ def _lattice_separation(fam: Family):
     lattice (module docstring), or None where the argument does not apply:
     a delta that is no power of two or whose square is not exact, cells
     past int64, coordinates off the delta-lattice, squared distances past
-    the `exact` guard, two points in one cell, a padded grid over
-    DENSE_LIMIT, or no hit among the offsets searched."""
+    the `exact` guard, a padded grid over DENSE_LIMIT, two points in one
+    cell, or no hit among the offsets searched."""
     mantissa, exponent = math.frexp(fam.delta)
     # delta = 2^(exponent - 1); its square, and the square's integer
     # multiples below 2^53, are exact down to the least subnormal 2^-1074
     if mantissa != 0.5 or 2 * (exponent - 1) < -1074:
         return None
     try:
-        cells, first, _, _, exact, stride, u, u_shape = _lattice_index(fam.elements, fam.delta)
+        cells = _floor_cells(fam.elements, fam.delta)
     except ValueError:  # cells past int64
         return None
-    if not (exact and first.size == len(fam)
-            and np.array_equal(cells, fam.elements / fam.delta)):
+    if not np.array_equal(cells, fam.elements / fam.delta):
         return None
+    exact, stride, u, u_shape = _lattice(cells.T)
     pad = 2  # the steps searched per axis
-    grid = u_shape + 2 * pad
-    size = math.prod(grid.tolist())
-    if size > DENSE_LIMIT:
+    if not exact or math.prod((u_shape + 2 * pad).tolist()) > DENSE_LIMIT:
         return None
-    # flat C-order indices of the padded grid
-    strides = np.append(np.cumprod(grid[:0:-1])[::-1], 1)
-    keys = (u + pad) @ strides
-    occupied = np.zeros(size, dtype=bool)
-    occupied[keys] = True
+    grid, centres = _prefix_grid(u, u_shape, pad, ())
+    # one point per cell: as many occupied cells as points
+    if np.count_nonzero(grid) != len(fam):
+        return None
+    strides = np.array(grid.strides) // grid.itemsize
+    keys = centres @ strides
     # the steps after the origin in lexicographic order are the half-space
     # o > 0 lexicographically, which meets every pair once
     steps = np.array(list(itertools.product(range(-pad, pad + 1), repeat=fam.dim)))
@@ -281,7 +273,7 @@ def _lattice_separation(fam: Family):
     kept = np.flatnonzero(q < (pad + 1) ** 2 * int(stride.min()) ** 2)
     kept = kept[np.argsort(q[kept], kind="stable")]
     for shift, least in zip((steps[kept] @ strides).tolist(), q[kept].tolist()):
-        if occupied.take(keys + shift).any():
+        if grid.take(keys + shift).any():
             return math.sqrt(least * (fam.delta * fam.delta))
     return None
 
@@ -455,8 +447,11 @@ def _scale_profile(fam: Family):
         raise ValueError("regularity profile of an empty family")
     delta = fam.delta
     metric = "euclidean" if fam.kind == "points" else "chebyshev"
-    _, first_idx, offsets, shape, exact, stride, u, u_shape = _lattice_index(
-        measurement_coordinates(fam), delta)
+    cells = _floor_cells(measurement_coordinates(fam), delta)
+    first_idx = distinct_rows(cells)[0]
+    exact, stride, u, u_shape = _lattice(cells.T.take(first_idx, axis=1))
+    del cells
+    offsets = u * stride
     cover = first_idx.size
     weights = stride * stride
 
@@ -465,7 +460,7 @@ def _scale_profile(fam: Family):
     if metric == "euclidean" and exact:
         # each centre's squared distance to its farthest box corner, the
         # shortcut's upper bound
-        corner2 = np.sum(np.maximum(offsets, shape - 1 - offsets) ** 2, axis=1)
+        corner2 = np.sum(weights * np.maximum(u, u_shape - 1 - u) ** 2, axis=1)
     last = np.eye(fam.dim, dtype=np.int64)[-1]
     # grid sizes are products of Python ints: an int64 product can wrap to
     # a size that fits DENSE_LIMIT
@@ -566,8 +561,7 @@ def _affine_profile(fam: Family):
 
 
 def _build_report(fam, s, variant, use_affine_metric):
-    if not (0.0 <= s <= fam.dim):
-        raise ValueError(f"exponent s must lie in [0, {fam.dim}], got {s}")
+    require_exponent("s", s, fam.dim)
     if use_affine_metric:
         radii, counts, centers, cover = _affine_profile(fam)
         metric = "affine"

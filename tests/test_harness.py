@@ -253,6 +253,8 @@ _SHARP_DIGESTS = {
     (3, 5): "83dd46b7e56a7a22c72bb2d25798bf770d784cfe72b4bc6770d6575ca8bd2513",
     (3, 6): "2ba86b35e7d7a719c7e0d5a43ca41b5fd489308fcab7ff0552ba9dfc8f13b787",
     (3, 7): "73ed0703082921653a8dfd05a9c2b84c5dcaea052a90934aeaf41033993ebb1d",
+    # about 2.5 s and 600 MB: paper scale for the separation and the profile
+    (3, 8): "1587ba69d5062d912b361002f44ab8845fc7b31c90aed92e2ae01cd53c4e7fb1",
 }
 
 
@@ -263,3 +265,16 @@ def test_sharp_reports_are_pinned(dim, k):
     fails here."""
     report = run_experiment(ExperimentConfig(dim=dim, delta=2.0**-k))
     assert _digest(report.to_dict(include_timings=False)) == _SHARP_DIGESTS[dim, k]
+
+
+def test_summaries_take_one_family_and_the_exponent(monkeypatch):
+    """`perfbench` wraps the summary calls as `lambda fam: ...` and
+    `lambda fam, s: ...`: with such wrappers in place the report is the
+    pinned one, so the summary passes nothing else."""
+    from incgeom import harness
+
+    separation, regularity = harness.min_separation, harness.regularity_constant
+    monkeypatch.setattr(harness, "min_separation", lambda fam: separation(fam))
+    monkeypatch.setattr(harness, "regularity_constant", lambda fam, s: regularity(fam, s))
+    report = run_experiment(ExperimentConfig(dim=3, delta=2.0**-5))
+    assert _digest(report.to_dict(include_timings=False)) == _SHARP_DIGESTS[3, 5]

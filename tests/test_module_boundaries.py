@@ -64,10 +64,12 @@ def _rule_strings(paths, phrase):
                 yield f"{path.name}:{node.lineno}"
 
 
-# family.require_delta, geometry.require_mode, family.require_kind and the
-# int64 cell floor, regularity._floor_cells
+# family.require_delta, geometry.require_mode, family.require_kind, the
+# int64 cell floor, regularity._floor_cells, geometry.require_positive (C,
+# cdelta and rho) and family.require_exponent, whose message is one
+# str.format template: "must lie in [0, " alone is also bounds' planar rule
 RULES = ("delta must lie in (0, 1)", "unknown mode", "unknown family kind",
-         "cell index overflows int64")
+         "cell index overflows int64", " must be positive, got ", "must lie in [0, {}]")
 
 
 @pytest.mark.parametrize("phrase", RULES)

@@ -525,6 +525,25 @@ def test_counts_equal_brute_force_pairs(cells_and_stride):
         _assert_counts_equal_brute_force(fam)
 
 
+@given(cells_and_stride=_CELL_SETS, scale=st.sampled_from([1, 2**26]), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_lattice_of_repeated_cells_is_that_of_the_distinct_cells(cells_and_stride, scale, data):
+    # min, max and gcd ignore repeats: repeated rows give the distinct rows'
+    # lattice, and each row its own u; at scale 2^26 a box of more than one
+    # cell is past the exact guard, and the stride is 1
+    cells, step = cells_and_stride
+    cells = np.array(cells, dtype=np.int64) * np.array(step) * scale
+    extra = data.draw(st.lists(st.integers(0, len(cells) - 1), max_size=40))
+    rows = np.array(data.draw(st.permutations(list(range(len(cells))) + extra)), dtype=np.intp)
+    exact, stride, u, u_shape = regularity._lattice(cells.T.copy())
+    got_exact, got_stride, got_u, got_shape = regularity._lattice(cells[rows].T.copy())
+    assert got_exact == exact
+    assert np.array_equal(got_stride, stride) and np.array_equal(got_shape, u_shape)
+    assert np.array_equal(got_u, u[rows])
+    assert np.array_equal(u_shape, u.max(axis=0) + 1)
+    assert exact == (scale == 1 or len(cells) == 1)
+
+
 def _brute_force_counts(offsets, ratio):
     diff = offsets[:, None, :] - offsets[None, :, :]
     return np.sum(np.sum(diff * diff, axis=-1) <= ratio * ratio, axis=1)
@@ -1079,7 +1098,8 @@ class TestLatticeSeparation:
         cells = np.unique(rng.integers(0, 12, size=(150, len(stride))) * stride, axis=0)
         pts = cells * 2.0**-7
         fam = _points(pts, 2.0**-7)
-        assert np.all(regularity._lattice_index(pts, 2.0**-7)[5] % stride == 0)
+        _, lattice_stride, _, _ = regularity._lattice(regularity._floor_cells(pts, 2.0**-7).T)
+        assert np.all(lattice_stride % stride == 0)
         lattice, got, kd = _separations(fam, monkeypatch)
         assert lattice is not None
         assert _same_bits(lattice, got, kd, _brute_force_separation(pts))
@@ -1123,6 +1143,26 @@ class TestLatticeSeparation:
         assert built == []
         min_separation(construct_random("points", 3, 2.0**-5, 500, seed=2))
         assert built == [500]
+
+    @pytest.mark.parametrize("name", ["sharp", "duplicate"])
+    def test_separation_sorts_no_rows(self, name, monkeypatch):
+        # the occupancy grid, not a row dedup, shows one point per cell; a
+        # duplicate point still falls back to the kd-tree's 0.0
+        rows = []
+        real = regularity.distinct_rows
+        monkeypatch.setattr(regularity, "distinct_rows",
+                            lambda cells: rows.append(cells.shape) or real(cells))
+        if name == "sharp":
+            fam, _ = construct_sharp(ConstructionSpec(d=3, delta=2.0**-5, s=1.75, t=1.75))
+            want = regularity._lattice_separation(fam)
+            assert want is not None
+        else:
+            pts = _lattice_ball(3, 4) / 8.0
+            fam = _points(np.vstack([pts, pts[5]]))
+            assert regularity._lattice_separation(fam) is None
+            want = 0.0
+        assert min_separation(fam) == want
+        assert rows == []
 
     def test_delta_whose_square_underflows_takes_the_kd_tree(self):
         # 2^-540 squared is below the least subnormal, 2^-1074: q delta^2
