@@ -28,7 +28,7 @@ lie farther from the slab than the margin, which the predicate would
 refuse, and every pair it keeps is decided by the predicate.  So every
 incidence either path reports is a predicate hit on the oracle's operand
 values, and both paths agree with the oracle bit for bit on every input,
-worker count and leaf size.
+worker count and `LEAF_SIZE`.
 
 Also here: the dyadic annulus decomposition of a hyperplane family around a
 center plane, bucketed by the affine metric.
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -48,7 +48,7 @@ from .geometry import (CANDIDATE_MARGIN, affine_metric, check_plane_coeffs, dist
                        fold_dot, incidence_mask, require_mode, require_positive,
                        slab_offsets, unit_normal_norms)
 
-DEFAULT_LEAF_SIZE = 128
+LEAF_SIZE = 128
 
 # A block of the oracle, the leaf pass or a sweep's window loop holds at
 # most this many pairs (or one leaf or plane), so transient
@@ -72,14 +72,8 @@ class IncidenceReport:
     per_point: tuple
 
     def to_dict(self):
-        return {
-            "count": self.count,
-            "cdelta": self.cdelta,
-            "mode": self.mode,
-            "ratio": self.ratio,
-            "per_plane": [[v, m] for v, m in self.per_plane],
-            "per_point": [[v, m] for v, m in self.per_point],
-        }
+        return {**asdict(self), "per_plane": [[v, m] for v, m in self.per_plane],
+                "per_point": [[v, m] for v, m in self.per_point]}
 
 
 def _histogram(values):
@@ -111,7 +105,8 @@ def _prepare(points_fam: Family, planes_fam: Family, cdelta, mode, workers):
         raise ValueError("planes must have finite coefficients")
 
 
-def _assemble(count, per_plane, per_point, cdelta, mode, delta):
+def _assemble(per_plane, per_point, cdelta, mode, delta):
+    count = per_plane.sum()
     denom = delta * per_point.size * per_plane.size
     ratio = count / denom if denom > 0 else 0.0
     return IncidenceReport(
@@ -165,18 +160,18 @@ def count_incidences_oracle(points_fam, planes_fam, cdelta, mode="euclidean", wo
         return per_plane, per_point
 
     per_plane, per_point = _summed_over_threads(run, np.arange(0, m, block), workers)
-    return _assemble(per_plane.sum(), per_plane, per_point, cdelta, mode, points_fam.delta)
+    return _assemble(per_plane, per_point, cdelta, mode, points_fam.delta)
 
 
 class _PointTree:
-    """The leaves of `cKDTree(points, leafsize=leaf_size)` (Bentley 1975).
+    """The leaves of `cKDTree(points, leafsize=LEAF_SIZE)` (Bentley 1975).
 
     Leaf i holds `points[lo[i]:hi[i]]` of the `perm`-permuted points, and
     the leaves tile [0, n) in increasing `lo`.  Each leaf box is exact: one
     `reduceat` over the leaf slices."""
 
-    def __init__(self, points, leaf_size):
-        kd = cKDTree(points, leafsize=leaf_size)
+    def __init__(self, points):
+        kd = cKDTree(points, leafsize=LEAF_SIZE)
         self.perm = kd.indices
         self.points = points[self.perm]
         starts, stack = [], [kd.tree]
@@ -192,13 +187,6 @@ class _PointTree:
         bmax = np.maximum.reduceat(self.points, self.lo)
         self.centers = 0.5 * (bmin + bmax)
         self.halves = 0.5 * (bmax - bmin)
-
-
-def _plane_thresholds(coeffs, cdelta, mode):
-    """Unit-normal norms and the |psi| threshold of each plane."""
-    norms = unit_normal_norms(coeffs)
-    thresholds = cdelta * norms if mode == "euclidean" else np.full(len(coeffs), float(cdelta))
-    return norms, thresholds
 
 
 def _count_chunk(tree, coeffs, norms, thresholds, cdelta, mode, plane_ids):
@@ -270,8 +258,7 @@ def _sweep_class(values, reps, weight, planes, coeffs, norms, thresholds, cdelta
     return per_plane, per_value
 
 
-def count_incidences_fast(points_fam, planes_fam, cdelta, mode="euclidean",
-                          workers=1, leaf_size=DEFAULT_LEAF_SIZE):
+def count_incidences_fast(points_fam, planes_fam, cdelta, mode="euclidean", workers=1):
     """Accelerated counter; identical report to the oracle, bit for bit.
 
     Parallel classes of at least `SWEEP_MIN_CLASS` planes are counted by a
@@ -281,17 +268,18 @@ def count_incidences_fast(points_fam, planes_fam, cdelta, mode="euclidean",
     `CANDIDATE_MARGIN`, and the predicate decides every other pair on the
     same operand values as the oracle (see the module docstring).
     Per-plane results never depend on the chunking, and per-point counts
-    are integer sums, so any worker count or leaf size yields the same
+    are integer sums, so any worker count or `LEAF_SIZE` yields the same
     report."""
     _prepare(points_fam, planes_fam, cdelta, mode, workers)
-    require_int("leaf_size", leaf_size)
     pts = points_fam.elements
     coeffs = planes_fam.elements
     n, m = len(pts), len(coeffs)
     per_plane = np.zeros(m, dtype=np.int64)
     per_point = np.zeros(n, dtype=np.int64)
     if n and m:
-        norms, thresholds = _plane_thresholds(coeffs, cdelta, mode)
+        # unit-normal norms and the |psi| threshold of each plane
+        norms = unit_normal_norms(coeffs)
+        thresholds = cdelta * norms if mode == "euclidean" else np.full(m, float(cdelta))
         _, classes, sizes = distinct_rows(coeffs[:, :-1])
         swept = sizes[classes] >= SWEEP_MIN_CLASS
         if swept.any():
@@ -329,13 +317,13 @@ def count_incidences_fast(points_fam, planes_fam, cdelta, mode="euclidean",
             per_plane += plane_part
             per_point += distinct_part[inv]
         if not swept.all():
-            tree = _PointTree(pts, leaf_size)
+            tree = _PointTree(pts)
             plane_part, point_part = _summed_over_threads(
                 lambda chunk: _count_chunk(tree, coeffs, norms, thresholds, cdelta, mode, chunk),
                 np.flatnonzero(~swept), workers)
             per_plane += plane_part
             per_point[tree.perm] += point_part
-    return _assemble(per_plane.sum(), per_plane, per_point, cdelta, mode, points_fam.delta)
+    return _assemble(per_plane, per_point, cdelta, mode, points_fam.delta)
 
 
 @dataclass(frozen=True)

@@ -60,12 +60,14 @@ the sharp points, on strides (4, 2, 1), fill one cell in eight.  A code-max
 box of reach R spans R // g_k steps of u along axis k.  The Euclidean ball
 is weighted, sum_k g_k^2 o_k^2 <= q, with the clip c_k = min(R // g_k,
 n_k - 1) on u's n_k cells, and the column and alias arguments above hold on
-u as they stand.  The full-ball shortcut and the tree measure the unscaled
-offsets.  The stride is taken only while dim (n - 1)^2 < 2^52, n the widest
-axis of the offsets' box: each g_k^2 o_k^2 is then at most (n_k - 1)^2, so
-q, clamped to sum_k g_k^2 c_k^2, and every weighted square stay exact in
-int64, float64 and the stencil's integer square roots.  The same guard
-keeps the shortcut's squared distances exact.  Past it g = 1, and a dense
+u as they stand.  The full-ball shortcut and the tree measure the offsets
+g u: the shortcut on u, weighted by g_k^2 and along diagonal directions
+scaled by g, the tree on g u, scaled when it is built.  The stride is
+taken only while dim (n - 1)^2 < 2^52, n the widest axis of the offsets'
+box: each g_k^2 o_k^2 is then at most (n_k - 1)^2, so q, clamped to
+sum_k g_k^2 c_k^2, and every weighted square stay exact in int64, float64
+and the stencil's integer square roots.  The same guard keeps the
+shortcut's squared distances exact.  Past it g = 1, and a dense
 grid, within DENSE_LIMIT < 2^26 cells, bounds sum_k c_k^2 below 2^52.
 
 Cells are floor(x / rho) in int64.  Where one falls outside [-2^63, 2^63)
@@ -362,15 +364,16 @@ def _ball_columns(q, clip, weights):
 
 
 def _prefix_grid(offsets, shape, pad, axes):
-    """The occupancy summed along `axes`, in int32, on a grid padded by
-    `pad` on every side and by one more below along each summed axis; and
-    the occupied cells' index rows in it.  Summed along every axis with no
-    pad it is the code-max summed-area table; summed along the last axis,
-    every stencil reaching at most `pad` reads inside it.  Its values count
-    cells, so they stay below DENSE_LIMIT < 2^31."""
+    """The occupancy summed along `axes` on a grid padded by `pad` on every
+    side and by one more below along each summed axis; and the occupied
+    cells' index rows in it.  Summed along every axis with no pad it is the
+    code-max summed-area table; summed along the last axis, every stencil
+    reaching at most `pad` reads inside it.  A sum is int32: its values
+    count cells, so they stay below DENSE_LIMIT < 2^31.  Summed along no
+    axis, the separation's grid, it is bool, one byte per cell."""
     lead = np.zeros(len(shape), dtype=np.int64) + pad
     lead[list(axes)] += 1
-    prefix = np.zeros(tuple(shape + pad + lead), dtype=np.int32)
+    prefix = np.zeros(tuple(shape + pad + lead), dtype=np.int32 if len(axes) else bool)
     centres = offsets + lead
     prefix[tuple(centres.T)] = 1
     for k in axes:
@@ -404,12 +407,12 @@ def _counts_tree(tree, ratio, metric):
     return np.asarray(counts, dtype=np.int64)
 
 
-def _full_ball_centre(offsets, corner2, q):
-    """Row of the first centre whose lattice ball |o|^2 <= q holds every
-    occupied cell, when the corner and diagonal bounds of the module
+def _full_ball_centre(u, stride, corner2, q):
+    """Row of the first centre whose lattice ball |g o|^2 <= q holds every
+    occupied cell of u, when the corner and diagonal bounds of the module
     docstring decide it; None when they do not.  `corner2` holds each
-    centre's squared distance to its farthest bounding-box corner.  Squared
-    distances are exact int64."""
+    centre's squared distance to its farthest bounding-box corner.  Both
+    bounds measure the offsets g u, in exact int64 squared distances."""
     passes = corner2 <= q
     k0 = int(np.argmax(passes))
     if not passes[k0]:
@@ -417,10 +420,10 @@ def _full_ball_centre(offsets, corner2, q):
     if k0 == 0:
         return 0
     lower = np.zeros(k0, dtype=np.int64)
-    for signs in itertools.product((1, -1), repeat=offsets.shape[1] - 1):
-        proj = offsets @ np.array((1,) + signs)
-        for far in (offsets[np.argmax(proj)], offsets[np.argmin(proj)]):
-            lower = np.maximum(lower, np.sum((offsets[:k0] - far) ** 2, axis=1))
+    for signs in itertools.product((1, -1), repeat=u.shape[1] - 1):
+        proj = u @ (stride * np.array((1,) + signs))
+        for far in (u[np.argmax(proj)], u[np.argmin(proj)]):
+            lower = np.maximum(lower, np.sum((stride * (u[:k0] - far)) ** 2, axis=1))
     return k0 if np.all(lower > q) else None
 
 
@@ -442,7 +445,7 @@ def _scale_profile(fam: Family):
     for whichever of the stencil and the FFT counts it.  The code-max tree
     takes the table's reach as its radius.  The table, stencil and FFT
     grids hold u = offsets // g, the offsets on the family's own lattice;
-    the shortcut and the tree read the offsets."""
+    the shortcut weighs u by g^2, and the tree holds g u."""
     if len(fam) == 0:
         raise ValueError("regularity profile of an empty family")
     delta = fam.delta
@@ -451,7 +454,6 @@ def _scale_profile(fam: Family):
     first_idx = distinct_rows(cells)[0]
     exact, stride, u, u_shape = _lattice(cells.T.take(first_idx, axis=1))
     del cells
-    offsets = u * stride
     cover = first_idx.size
     weights = stride * stride
 
@@ -473,7 +475,7 @@ def _scale_profile(fam: Family):
             step, dense, radius = ("table", reach // stride), table_cells, reach
         else:
             q = math.floor(ratio * ratio)
-            centre = None if corner2 is None else _full_ball_centre(offsets, corner2, q)
+            centre = None if corner2 is None else _full_ball_centre(u, stride, corner2, q)
             if centre is not None:
                 plan.append(("full", centre))
                 continue
@@ -518,7 +520,7 @@ def _scale_profile(fam: Family):
             counts = _ball_counts(u, *args)
         else:
             if tree is None:
-                tree = cKDTree(offsets.astype(np.float64))
+                tree = cKDTree((u * stride).astype(np.float64))
             counts = _counts_tree(tree, *args)
         k = int(np.argmax(counts))
         max_counts[j] = counts[k]

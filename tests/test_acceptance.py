@@ -14,6 +14,7 @@ import math
 import numpy as np
 import pytest
 
+from incgeom import incidence
 from incgeom.bounds import (comparison_range, cs_bound_exponent, dov_bound,
                             thm2d_exponent)
 from incgeom.constructions import (ConstructionSpec, construct_grid,
@@ -93,12 +94,13 @@ def test_02_sharpness_lifted(announce):
     assert ok
 
 
-def test_03_ratio_sweep(announce):
+def test_03_ratio_sweep(announce, monkeypatch):
+    monkeypatch.setattr(incidence, "LEAF_SIZE", 128)
     ratios = []
     for k in (5, 6, 7, 8):
         delta = 2.0**-k
         P3, L3 = construct_sharp(ConstructionSpec(d=3, delta=delta, s=1.75, t=1.75))
-        rep = count_incidences_fast(P3, L3, delta, workers=1, leaf_size=128)
+        rep = count_incidences_fast(P3, L3, delta, workers=1)
         ratios.append(rep.ratio)
     spread = max(ratios) / min(ratios)
     ok = max(ratios) <= 64.0 and spread <= 16.0

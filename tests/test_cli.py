@@ -295,6 +295,17 @@ def test_each_subcommand_takes_only_the_flags_it_reads():
     assert settable == 46
 
 
+def test_readme_flag_table_lists_the_kept_flags():
+    # "-n/--size" is two flags, and "file paths" names none
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = readme.split("| subcommand | flags |\n| --- | --- |\n", 1)[1].split("\n\n", 1)[0]
+    table = {}
+    for row in rows.splitlines():
+        name, flags = (c.strip().strip("`") for c in row.strip("|").split("|"))
+        table[name] = {f for f in flags.replace("/", " ").split() if f.startswith("-")}
+    assert table == KEPT
+
+
 @pytest.mark.parametrize("command,flag,value", DROPPED)
 def test_dropped_flag_is_a_usage_error(command, flag, value, capsys):
     argv = [command, *REQUIRED.get(command, [])]

@@ -185,28 +185,28 @@ class TestFastCounter:
         pts = construct_random("points", 2, 0.05, 35, seed=seed)
         pls = construct_random("hyperplanes", 2, 0.05, 25, seed=seed + 1)
         oracle = count_incidences_oracle(pts, pls, cdelta, mode=mode)
-        fast = count_incidences_fast(
-            pts, pls, cdelta, mode=mode, workers=workers, leaf_size=leaf_size
-        )
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(incidence, "LEAF_SIZE", leaf_size)
+            fast = count_incidences_fast(pts, pls, cdelta, mode=mode, workers=workers)
         assert fast == oracle
 
     def test_chunkings_beyond_the_cpu_count_agree(self, monkeypatch):
         """With the CPU count raised, workers 2..5 really split the planes
         into 2..5 chunks; every split gives the oracle's report."""
         monkeypatch.setattr(incidence.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(incidence, "LEAF_SIZE", 8)
         pts = construct_random("points", 2, 0.05, 60, seed=4)
         pls = construct_random("hyperplanes", 2, 0.05, 50, seed=5)
         oracle = count_incidences_oracle(pts, pls, 0.07)
         for workers in (1, 2, 3, 5):
-            assert count_incidences_fast(pts, pls, 0.07, workers=workers, leaf_size=8) == oracle
+            assert count_incidences_fast(pts, pls, 0.07, workers=workers) == oracle
 
-    def test_equals_oracle_3d(self):
+    def test_equals_oracle_3d(self, monkeypatch):
         pts = construct_random("points", 3, 0.08, 80, seed=21)
         pls = construct_random("hyperplanes", 3, 0.08, 60, seed=22)
         for leaf_size in (4, 64):
-            assert count_incidences_fast(
-                pts, pls, 0.1, leaf_size=leaf_size
-            ) == count_incidences_oracle(pts, pls, 0.1)
+            monkeypatch.setattr(incidence, "LEAF_SIZE", leaf_size)
+            assert count_incidences_fast(pts, pls, 0.1) == count_incidences_oracle(pts, pls, 0.1)
 
     def test_thresholds_near_boundary(self):
         # slab edges exactly on grid points: classification must defer to
@@ -227,7 +227,7 @@ class TestFastCounter:
         for c in (DELTA, 2 * DELTA, 3.5 * DELTA):
             assert count_incidences_fast(pts, pls, c) == count_incidences_oracle(pts, pls, c)
 
-    def test_rounding_edge_pairs(self):
+    def test_rounding_edge_pairs(self, monkeypatch):
         """Offsets one to three ulps beyond cdelta |u|, where the rounded
         predicate |psi| / |u| <= cdelta disagrees with |psi| <= cdelta |u|:
         only the classification margin sends these pairs to the predicate."""
@@ -236,22 +236,24 @@ class TestFastCounter:
         assert len(pts) >= 20
         oracle = count_incidences_oracle(pts, pls, 0.07)
         for leaf_size in (1, 2, 8, 64):
-            assert count_incidences_fast(pts, pls, 0.07, leaf_size=leaf_size) == oracle
+            monkeypatch.setattr(incidence, "LEAF_SIZE", leaf_size)
+            assert count_incidences_fast(pts, pls, 0.07) == oracle
 
     @pytest.mark.parametrize("mode", ["euclidean", "psi"])
-    def test_accept_margin_at_the_box_edge(self, mode):
+    def test_accept_margin_at_the_box_edge(self, mode, monkeypatch):
         """Two-point leaves whose box meets |psi(centre)| + spread <= thr
         in floating point although the oracle rejects one of the points:
         such a leaf always reaches the predicate, which counts only the
         point it accepts."""
         rng = np.random.default_rng(11)
+        monkeypatch.setattr(incidence, "LEAF_SIZE", 2)
         found = 0
         for _ in range(5000):
             p = rng.uniform(-0.5, 0.5, 3)
             pts = np.stack([p, p + rng.uniform(-0.05, 0.05, 3)])
             cdelta = rng.uniform(0.01, 0.2)
             slopes = rng.uniform(-1, 1, 2)
-            tree = incidence._PointTree(pts, 2)
+            tree = incidence._PointTree(pts)
             assert tree.lo.size == 1
             center, halves = tree.centers[0], tree.halves[0]
             spread = fold_dot(np.abs(slopes), halves[:-1]) + halves[-1]
@@ -269,13 +271,13 @@ class TestFastCounter:
                     Family(kind="hyperplanes", elements=plane[None], delta=DELTA, dim=3))
             oracle = count_incidences_oracle(*fams, cdelta, mode=mode)
             assert oracle.count < 2
-            assert count_incidences_fast(*fams, cdelta, mode=mode, leaf_size=2) == oracle
+            assert count_incidences_fast(*fams, cdelta, mode=mode) == oracle
             found += 1
             if found == 5:
                 break
         assert found == 5
 
-    def test_degenerate_point_cloud(self):
+    def test_degenerate_point_cloud(self, monkeypatch):
         # all points identical: zero-extent boxes must not split forever
         pts = Family(
             kind="points",
@@ -284,32 +286,18 @@ class TestFastCounter:
             dim=2,
         )
         pls = construct_random("hyperplanes", 2, 0.05, 10, seed=4)
-        assert count_incidences_fast(pts, pls, 0.1, leaf_size=8) == count_incidences_oracle(
-            pts, pls, 0.1
-        )
+        monkeypatch.setattr(incidence, "LEAF_SIZE", 8)
+        assert count_incidences_fast(pts, pls, 0.1) == count_incidences_oracle(pts, pls, 0.1)
 
     def test_empty_families(self):
         no_pts = Family(kind="points", elements=np.empty((0, 2)), delta=DELTA, dim=2)
         one_pl = Family(kind="hyperplanes", elements=np.zeros((1, 2)), delta=DELTA, dim=2)
         assert count_incidences_fast(no_pts, one_pl, DELTA).count == 0
 
-    @pytest.mark.parametrize("bad", [0, -3, 2.0, 8.5, True, "8", None])
-    def test_leaf_size_must_be_a_positive_integer(self, bad):
-        pts = construct_random("points", 2, 0.05, 10, seed=1)
-        pls = construct_random("hyperplanes", 2, 0.05, 5, seed=2)
-        with pytest.raises(ValueError, match="leaf_size"):
-            count_incidences_fast(pts, pls, 0.1, leaf_size=bad)
-        # the check sits at the boundary: an empty family is refused too
-        no_pts = Family(kind="points", elements=np.empty((0, 2)), delta=0.05, dim=2)
-        with pytest.raises(ValueError, match="leaf_size"):
-            count_incidences_fast(no_pts, pls, 0.1, leaf_size=bad)
-
-    def test_numpy_integer_leaf_size(self):
-        pts = construct_random("points", 2, 0.05, 40, seed=3)
-        pls = construct_random("hyperplanes", 2, 0.05, 20, seed=4)
-        assert count_incidences_fast(
-            pts, pls, 0.1, leaf_size=np.int64(3)
-        ) == count_incidences_oracle(pts, pls, 0.1)
+    def test_both_counters_take_the_same_arguments(self):
+        oracle = inspect.signature(count_incidences_oracle).parameters
+        assert inspect.signature(count_incidences_fast).parameters == oracle
+        assert list(oracle) == ["points_fam", "planes_fam", "cdelta", "mode", "workers"]
 
 
 def _clouds(d):
@@ -326,9 +314,10 @@ def _clouds(d):
 class TestPointTree:
     @pytest.mark.parametrize("d", [2, 3, 4])
     @pytest.mark.parametrize("leaf_size", [1, 2, 8, 64])
-    def test_invariants(self, d, leaf_size):
+    def test_invariants(self, d, leaf_size, monkeypatch):
+        monkeypatch.setattr(incidence, "LEAF_SIZE", leaf_size)
         for name, points in _clouds(d).items():
-            tree = incidence._PointTree(points, leaf_size)
+            tree = incidence._PointTree(points)
             n = len(points)
             assert np.array_equal(np.sort(tree.perm), np.arange(n)), name
             assert np.array_equal(tree.points, points[tree.perm]), name
@@ -408,9 +397,9 @@ class TestLatticeFamilies:
         pts, pls, delta = _lattice_pair(d, k, exps, seed, m=24)
         assert len(pls) < incidence.SWEEP_MIN_CLASS  # every plane walks the kd-tree
         oracle = count_incidences_oracle(pts, pls, c * delta, mode=mode)
-        fast = count_incidences_fast(
-            pts, pls, c * delta, mode=mode, workers=workers, leaf_size=leaf_size
-        )
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(incidence, "LEAF_SIZE", leaf_size)
+            fast = count_incidences_fast(pts, pls, c * delta, mode=mode, workers=workers)
         assert fast == oracle
 
     def test_large_cdelta_counts_only_predicate_hits(self, monkeypatch):
@@ -429,7 +418,8 @@ class TestLatticeFamilies:
             return mask
 
         monkeypatch.setattr(incidence, "incidence_mask", counting_mask)
-        assert count_incidences_fast(pts, pls, 16 * delta, leaf_size=1) == oracle
+        monkeypatch.setattr(incidence, "LEAF_SIZE", 1)
+        assert count_incidences_fast(pts, pls, 16 * delta) == oracle
         assert sum(hits) == oracle.count
 
 
@@ -651,7 +641,7 @@ class TestSetUpPerCall:
         pts = self.points()
         pls = Family(kind="hyperplanes", delta=self.delta, dim=3,
                      elements=np.concatenate([self.swept().elements, self.singles().elements]))
-        calls = _spy(monkeypatch, "_plane_thresholds")
+        calls = _spy(monkeypatch, "unit_normal_norms")
         paths = _spy_paths(monkeypatch)
         for workers in (1, 2):
             calls.clear()

@@ -817,7 +817,7 @@ def test_undecided_centre_falls_back_to_the_fft(d, radius):
     shape = offsets.max(axis=0) + 1
     corner2 = np.sum(np.maximum(offsets, shape - 1 - offsets) ** 2, axis=1)
     assert np.any(corner2 <= 64) and corner2[0] > 64
-    assert regularity._full_ball_centre(offsets, corner2, 64) is None
+    assert regularity._full_ball_centre(offsets, np.ones(d, dtype=np.int64), corner2, 64) is None
     got = regularity._scale_profile(fam)
     _assert_same_profile(got, _reference_profile(fam)[0])
     assert got[1][-1] == got[3] and got[2][-1] == 0
@@ -849,7 +849,23 @@ def test_full_boxes_are_always_decided(dims):
         passing = np.flatnonzero(far2 <= ratio * ratio)
         want = int(passing[0]) if passing.size else None
         q = math.floor(ratio * ratio)
-        assert regularity._full_ball_centre(offsets, corner2, q) == want
+        assert regularity._full_ball_centre(offsets, np.ones(len(dims), dtype=np.int64),
+                                            corner2, q) == want
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_strided_bounds_are_those_of_the_offsets(d):
+    # the bounds measured on u with stride g decide every q as those
+    # measured on the offsets g u with unit stride: same cells, same values
+    rng = np.random.default_rng(d)
+    for _ in range(20):
+        stride = rng.integers(1, 5, size=d)
+        u = _random_cells(d, 30, 6, seed=int(rng.integers(2**31)))
+        u = u[rng.permutation(len(u))] - u.min(axis=0)
+        corner2 = np.sum(stride**2 * np.maximum(u, u.max(axis=0) - u) ** 2, axis=1)
+        for q in range(int(corner2.max()) + 2):
+            assert regularity._full_ball_centre(u, stride, corner2, q) == \
+                regularity._full_ball_centre(u * stride, np.ones(d, dtype=np.int64), corner2, q)
 
 
 def test_boxes_past_exact_squares_take_the_other_paths():
@@ -1163,6 +1179,25 @@ class TestLatticeSeparation:
             want = 0.0
         assert min_separation(fam) == want
         assert rows == []
+
+    def test_occupancy_grid_takes_one_byte_per_cell(self, monkeypatch):
+        # the separation only reads whether a cell is occupied, so its grid
+        # is bool; the table and the stencil's grids stay int32 sums
+        grids = []
+        real = regularity._prefix_grid
+
+        def spy(*args):
+            grids.append(real(*args))
+            return grids[-1]
+
+        monkeypatch.setattr(regularity, "_prefix_grid", spy)
+        points, _ = construct_sharp(ConstructionSpec(d=3, delta=2.0**-5, s=1.75, t=1.75))
+        lattice, got, kd = _separations(points, monkeypatch)
+        assert lattice is not None and _same_bits(lattice, got, kd)
+        assert grids and all(g.dtype == bool and g.itemsize == 1 for g, _ in grids)
+        grids.clear()
+        regularity._scale_profile(points)
+        assert grids and all(g.dtype == np.int32 for g, _ in grids)
 
     def test_delta_whose_square_underflows_takes_the_kd_tree(self):
         # 2^-540 squared is below the least subnormal, 2^-1074: q delta^2
