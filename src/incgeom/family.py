@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import RowError, check_plane_coeffs, distinct_rows
+from .geometry import RowError, check_plane_coeffs, distinct_rows, first_rows
 
 KINDS = ("points", "hyperplanes")
 
@@ -108,8 +108,8 @@ class Family:
                 )
         else:
             check_plane_coeffs(arr)
-        first, inverse, _ = distinct_rows(arr)
-        if first.size != len(self):
+        if first_rows(arr).size != len(self):
+            first, inverse, _ = distinct_rows(arr)
             i = int(np.flatnonzero(first[inverse] != np.arange(len(self)))[0])
             raise RowError(
                 i, f"element {i}: repeats element {first[inverse[i]]}; elements are not "

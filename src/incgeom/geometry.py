@@ -141,26 +141,43 @@ def distinct_rows(rows):
     the index of each one's first occurrence, each row's index among them,
     and their multiplicities.  This is what `np.unique(rows, axis=0,
     return_index=True, return_inverse=True, return_counts=True)` returns
-    besides the rows, from one stable sort and a difference of neighbours.
+    besides the rows, from one stable sort and a compare of neighbours.
     Integer rows whose box holds fewer than 2^63 cells sort one mixed-radix
     int64 key, the first column most significant, whose order is the
-    lexicographic one; other rows take a lexsort over the columns and
-    compare by value, so -0.0 equals 0.0."""
-    key = _packed_key(rows)
-    if key is None:
-        order = np.lexsort(rows.T[::-1])
-        ranked = rows[order]
-        changed = np.any(ranked[1:] != ranked[:-1], axis=1)
-    else:
-        order = np.argsort(key, kind="stable")
-        ranked = key[order]
-        changed = ranked[1:] != ranked[:-1]
-    new = np.ones(len(order), dtype=bool)
-    new[1:] = changed
+    lexicographic one; other rows take a lexsort over a contiguous (k, n)
+    copy of the columns.  No row is gathered: the compare takes one column
+    (or the key) at a time in sorted order and ORs its neighbour inequality
+    into one flag array, so rows compare by value and -0.0 equals 0.0."""
+    order, new = _sorted_runs(rows)
     starts = np.flatnonzero(new)
     inverse = np.empty(len(order), dtype=np.int64)
     inverse[order] = np.cumsum(new) - 1
     return order[starts], inverse, np.diff(np.append(starts, len(order)))
+
+
+def first_rows(rows):
+    """`distinct_rows(rows)[0]`, the index of each distinct row's first
+    occurrence in lexicographic order, without the inverse and counts."""
+    order, new = _sorted_runs(rows)
+    return order[new]
+
+
+def _sorted_runs(rows):
+    """`distinct_rows`' stable sort and compare: the order of the rows and,
+    along it, the flags of the rows that differ from the row before."""
+    key = _packed_key(rows)
+    if key is None:
+        columns = np.ascontiguousarray(rows.T)
+        order = np.lexsort(columns[::-1])
+    else:
+        columns = key[None]
+        order = np.argsort(key, kind="stable")
+    new = np.zeros(len(order), dtype=bool)
+    new[:1] = True
+    for col in columns:
+        ranked = col[order]
+        new[1:] |= ranked[1:] != ranked[:-1]
+    return order, new
 
 
 def _packed_key(rows):

@@ -227,7 +227,7 @@ def _count_chunk(tree, coeffs, norms, thresholds, cdelta, mode, plane_ids):
 # the leaf pass at 64 planes per class in d = 3, leads only from 128-256 in
 # d = 2 and trails up to 256 in d = 4 at cdelta = 0.125.  64 stays because
 # lattice classes are larger and collapse under the coordinate drop: the
-# d = 3 sharp pair at 2^-6 takes 0.008 s swept, 0.11 s on the leaf pass.
+# d = 3 sharp pair at 2^-6 takes 0.004 s swept, 0.09 s on the leaf pass.
 SWEEP_MIN_CLASS = 64
 
 

@@ -108,7 +108,7 @@ from scipy.spatial import cKDTree
 
 from .family import Family, require_exponent
 from .geometry import (CANDIDATE_MARGIN, affine_metric, code_coordinates, distinct_rows,
-                       require_positive, root_sum_squares, unit_normals)
+                       first_rows, require_positive, root_sum_squares, unit_normals)
 
 # Cells a dense count may allocate (the code-max summed-area table, or the
 # Euclidean stencil or FFT grid of one scale) and the fallback tree limit;
@@ -161,7 +161,7 @@ def covering_number(fam: Family, rho) -> int:
     require_positive("rho", rho)
     if len(fam) == 0:
         return 0
-    return int(distinct_rows(_floor_cells(measurement_coordinates(fam), rho))[0].size)
+    return int(first_rows(_floor_cells(measurement_coordinates(fam), rho)).size)
 
 
 def min_separation(fam: Family) -> float:
@@ -451,7 +451,7 @@ def _scale_profile(fam: Family):
     delta = fam.delta
     metric = "euclidean" if fam.kind == "points" else "chebyshev"
     cells = _floor_cells(measurement_coordinates(fam), delta)
-    first_idx = distinct_rows(cells)[0]
+    first_idx = first_rows(cells)
     exact, stride, u, u_shape = _lattice(cells.T.take(first_idx, axis=1))
     del cells
     cover = first_idx.size

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from incgeom.family import Family
 from incgeom.geometry import (CANDIDATE_MARGIN, affine_metric, check_plane_coeffs,
                               code_coordinates, code_metric, dual_plane,
-                              distinct_rows, dual_point, fold_dot, incidence_predicate,
-                              phong_stein_determinant, phong_stein_matrix,
+                              distinct_rows, dual_point, first_rows, fold_dot,
+                              incidence_predicate, phong_stein_determinant, phong_stein_matrix,
                               point_plane_distance, RowError, slab_offsets,
                               unit_normal_norms, unit_normals)
 from incgeom.regularity import min_separation
@@ -386,11 +386,10 @@ def _assert_unique_parts(rows):
         assert np.array_equal(part, want_part.reshape(-1))
 
 
-@given(d=st.integers(1, 6), data=st.data())
-@settings(max_examples=80, deadline=None)
-def test_distinct_rows_equal_numpy_unique(d, data):
-    # int rows with duplicates, and the same rows as floats with some zeros
-    # made -0.0, which must fall in with 0.0
+def _draw_rows(d, data):
+    # int rows with duplicates, scaled by 1 (packed key) or 2^40 (lexsort),
+    # and the same rows as floats with some zeros made -0.0, which must
+    # fall in with 0.0
     rows = data.draw(st.lists(st.tuples(*[st.integers(-3, 3)] * d), max_size=60))
     cells = np.array(rows, dtype=np.int64).reshape(-1, d)
     if len(cells):
@@ -400,8 +399,43 @@ def test_distinct_rows_equal_numpy_unique(d, data):
     floats = cells * 0.25
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     floats[(floats == 0) & (rng.random(floats.shape) < 0.5)] = -0.0
-    _assert_unique_parts(cells)
-    _assert_unique_parts(floats)
+    return cells, floats
+
+
+@given(d=st.integers(1, 6), data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_distinct_rows_equal_numpy_unique(d, data):
+    for rows in _draw_rows(d, data):
+        _assert_unique_parts(rows)
+
+
+@given(d=st.integers(1, 6), data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_first_rows_are_distinct_rows_first(d, data):
+    for rows in _draw_rows(d, data):
+        got = first_rows(rows)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, distinct_rows(rows)[0])
+
+
+def test_rows_that_differ_only_in_a_later_column():
+    # equal column 0 throughout each group; the rows differ, or hold 0.0
+    # against -0.0, only in columns 1 and 2
+    rows = np.array([[1.0, 0.0, 2.0], [1.0, -0.0, 2.0], [1.0, 0.0, 3.0],
+                     [0.5, 7.0, -0.0], [1.0, -0.0, 3.0], [0.5, 7.0, 0.0],
+                     [0.5, 6.0, 0.0]])
+    first, inverse, counts = distinct_rows(rows)
+    assert first.tolist() == [6, 3, 0, 2]
+    assert inverse.tolist() == [2, 2, 3, 1, 3, 1, 0]
+    assert counts.tolist() == [1, 2, 2, 2]
+    assert first_rows(rows).tolist() == [6, 3, 0, 2]
+    _assert_unique_parts(rows)
+    # the same pattern in integers too wide for the packed key
+    wide = np.array([[2, 5, 1], [2, 5, 0], [2, 4, 1], [2, 5, 1], [-2, 5, 1]]) * 2**40
+    assert distinct_rows(wide)[0].tolist() == [4, 2, 1, 0]
+    assert distinct_rows(wide)[1].tolist() == [3, 2, 1, 3, 0]
+    assert first_rows(wide).tolist() == [4, 2, 1, 0]
+    _assert_unique_parts(wide)
 
 
 def test_distinct_rows_signed_zeros_and_no_rows():

@@ -37,15 +37,17 @@ def test_the_check_sees_a_private_import(tmp_path):
 def _row_uniques(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     for node in ast.walk(tree):
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "unique"
-                and any(k.arg == "axis" for k in node.keywords)):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+            continue
+        if ((node.func.attr == "unique" and any(k.arg == "axis" for k in node.keywords))
+                or (node.func.attr == "lexsort" and path.name != "geometry.py")):
             yield f"{path.name}:{node.lineno}"
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_distinct_rows_have_one_implementation(path):
-    # geometry.distinct_rows is the one row-dedup; np.unique(axis=...) is not
+    # geometry's distinct_rows and first_rows share the one row-dedup sort;
+    # np.unique(axis=...) is not one, and np.lexsort lives in geometry.py
     assert list(_row_uniques(path)) == []
 
 
@@ -53,6 +55,16 @@ def test_the_check_sees_a_row_unique(tmp_path):
     bad = tmp_path / "bad.py"
     bad.write_text("import numpy as np\nnp.unique(x)\nnp.unique(x, axis=0, return_index=True)\n")
     assert list(_row_uniques(bad)) == ["bad.py:3"]
+
+
+def test_the_check_sees_a_lexsort_outside_geometry(tmp_path):
+    text = "import numpy as np\nnp.argsort(x)\norder = np.lexsort(cols[::-1])\n"
+    bad = tmp_path / "bad.py"
+    bad.write_text(text)
+    assert list(_row_uniques(bad)) == ["bad.py:3"]
+    home = tmp_path / "geometry.py"
+    home.write_text(text)
+    assert list(_row_uniques(home)) == []
 
 
 def _rule_strings(paths, phrase):

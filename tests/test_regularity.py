@@ -54,6 +54,20 @@ class TestCoveringNumber:
         with pytest.raises(ValueError, match="rho"):
             covering_number(grid64, 0.0)
 
+    def test_cover_and_profile_read_first_rows_only(self, grid64, monkeypatch):
+        # both read only each cell's first element, so neither builds the
+        # inverse and counts of distinct_rows
+        calls = []
+        real = regularity.first_rows
+        monkeypatch.setattr(regularity, "first_rows",
+                            lambda cells: calls.append(cells.shape) or real(cells))
+        monkeypatch.setattr(regularity, "distinct_rows", None)
+        points, planes = construct_sharp(ConstructionSpec(d=3, delta=2.0**-4, s=1.75, t=1.75))
+        assert covering_number(grid64, 2 * DELTA) == 1024
+        assert regularity._scale_profile(points)[3] == len(points)
+        assert regularity._scale_profile(planes)[3] == covering_number(planes, planes.delta)
+        assert calls == [(4096, 2), (len(points), 3), (len(planes), 3), (len(planes), 3)]
+
 
 class TestMinSeparation:
     def test_grid_spacing(self, grid64):
@@ -1165,9 +1179,10 @@ class TestLatticeSeparation:
         # the occupancy grid, not a row dedup, shows one point per cell; a
         # duplicate point still falls back to the kd-tree's 0.0
         rows = []
-        real = regularity.distinct_rows
-        monkeypatch.setattr(regularity, "distinct_rows",
-                            lambda cells: rows.append(cells.shape) or real(cells))
+        for spied in ("distinct_rows", "first_rows"):
+            monkeypatch.setattr(regularity, spied,
+                                lambda cells, real=getattr(regularity, spied):
+                                rows.append(cells.shape) or real(cells))
         if name == "sharp":
             fam, _ = construct_sharp(ConstructionSpec(d=3, delta=2.0**-5, s=1.75, t=1.75))
             want = regularity._lattice_separation(fam)
