@@ -34,7 +34,7 @@ def test_the_check_sees_a_private_import(tmp_path):
     assert list(_private_imports(bad)) == ["bad.py:2: _BATCH_CAP"]
 
 
-def _row_uniques(path):
+def _row_dedups(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     for node in ast.walk(tree):
         if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
@@ -48,23 +48,23 @@ def _row_uniques(path):
 def test_distinct_rows_have_one_implementation(path):
     # geometry's distinct_rows and first_rows share the one row-dedup sort;
     # np.unique(axis=...) is not one, and np.lexsort lives in geometry.py
-    assert list(_row_uniques(path)) == []
+    assert list(_row_dedups(path)) == []
 
 
 def test_the_check_sees_a_row_unique(tmp_path):
     bad = tmp_path / "bad.py"
     bad.write_text("import numpy as np\nnp.unique(x)\nnp.unique(x, axis=0, return_index=True)\n")
-    assert list(_row_uniques(bad)) == ["bad.py:3"]
+    assert list(_row_dedups(bad)) == ["bad.py:3"]
 
 
 def test_the_check_sees_a_lexsort_outside_geometry(tmp_path):
     text = "import numpy as np\nnp.argsort(x)\norder = np.lexsort(cols[::-1])\n"
     bad = tmp_path / "bad.py"
     bad.write_text(text)
-    assert list(_row_uniques(bad)) == ["bad.py:3"]
+    assert list(_row_dedups(bad)) == ["bad.py:3"]
     home = tmp_path / "geometry.py"
     home.write_text(text)
-    assert list(_row_uniques(home)) == []
+    assert list(_row_dedups(home)) == []
 
 
 def _rule_strings(paths, phrase):
