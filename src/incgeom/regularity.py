@@ -32,6 +32,16 @@ path:
   they are exact in float64 too).  The shortcut is taken only when the
   first centre the upper bound passes comes after centres that the lower
   bound all rule out, so its argmax is the one a full count would pick;
+- filled: where the occupied cells fill their box [0, n) (cover = prod n),
+  a centre c's count is the number of ball offsets o with 0 <= c + o < n:
+  a box sum over the ball's own zero-led summed-area table, the table path
+  with ball and occupancy swapped.  Each axis's window depends on c_k
+  alone, so the table is differenced one axis at a time into a count grid
+  over the box.  Its int32 sums are exact: each counts ball offsets, fewer
+  than DENSE_LIMIT < 2^31.  The grid is read at u, so that the counts come
+  in the cells' order, and the first argmax is the one every other path
+  picks.  A scale takes it when every grid it makes, of max(n_k, 2 c_k + 2)
+  cells along axis k, fits DENSE_LIMIT, whatever its FFT grid;
 - stencil: a Euclidean scale whose lattice ball is small against its FFT
   grid is summed in exact integers.  The ball |o|^2 <= q splits into
   columns along the last axis, one per offset o' over the other axes with
@@ -48,15 +58,17 @@ path:
   period L >= n + c an offset past c wraps to at least L - (n - 1) > c, so
   no alias lands in a ball.  A count 0.25 or more from an integer raises,
   and so does one that rounds below 1, since a ball holds its own centre;
-- tree: a scale whose table or FFT grid would exceed DENSE_LIMIT cells is
-  counted by a kd-tree, up to TREE_LIMIT occupied cells;
+- tree: a scale whose table or FFT grid would exceed DENSE_LIMIT cells,
+  and that no filled count takes, is counted by a kd-tree, up to TREE_LIMIT
+  occupied cells;
 - refusal: past both limits the profile raises ValueError.
 
 The grids count on the family's own lattice.  With g_k the gcd of the
 offsets along axis k (1 on an axis of one value), the offsets are g u, and
-the table, stencil and FFT grids, and DENSE_LIMIT and the stencil's cost
-rule, see u: a grid smaller by about prod g_k than the offsets' box, which
-the sharp points, on strides (4, 2, 1), fill one cell in eight.  A code-max
+the table, filled, stencil and FFT grids, and DENSE_LIMIT and the
+stencil's cost rule, see u: a grid smaller by about prod g_k than the
+offsets' box, which the sharp points, on strides (4, 2, 1), fill one cell
+in eight; their u fills its box.  A code-max
 box of reach R spans R // g_k steps of u along axis k.  The Euclidean ball
 is weighted, sum_k g_k^2 o_k^2 <= q, with the clip c_k = min(R // g_k,
 n_k - 1) on u's n_k cells, and the column and alias arguments above hold on
@@ -401,6 +413,28 @@ def _stencil_counts(prefix, centres, cols, halves):
     return counts.astype(np.int64)
 
 
+def _filled_counts(keys, shape, clip, cols, halves):
+    """Euclidean ball counts of the cells at C-order `keys` of a filled box
+    of `shape` (module docstring): a centre c counts the ball offsets o with
+    0 <= c_k + o_k < n_k, one box sum over the ball's zero-led summed-area
+    table, differenced one axis at a time into a count grid over the box.
+    The last axis is summed in closed form: the column o' of half-length h
+    holds min(c + h, n - 1) - max(c - h, 0) + 1 cells of [0, n) around c."""
+    c = np.arange(shape[-1])
+    h = halves[:, None]
+    grid = np.zeros((*(2 * clip[:-1] + 2), shape[-1]), dtype=np.int32)
+    grid[tuple((cols + clip[:-1] + 1).T)] = np.minimum(c + h, c[-1]) - np.maximum(c - h, 0) + 1
+    for k, (n, reach) in enumerate(zip(shape[:-1], clip[:-1])):
+        np.cumsum(grid, axis=k, out=grid)
+        c = np.arange(n)
+        # o_k runs over [max(-c, -reach), min(n - 1 - c, reach)], rows
+        # reach + 1 + o_k of the table
+        window = grid.take(np.minimum(reach + n - c, 2 * reach + 1), axis=k)
+        window -= grid.take(np.maximum(reach - c, 0), axis=k)
+        grid = window
+    return grid.reshape(-1).take(keys).astype(np.int64)
+
+
 def _counts_tree(tree, ratio, metric):
     p = np.inf if metric == "chebyshev" else 2.0
     counts = tree.query_ball_point(tree.data, r=ratio, p=p, return_length=True, workers=-1)
@@ -436,16 +470,18 @@ def _scale_profile(fam: Family):
     Every scale's path is planned before anything is counted (module
     docstring): the summed-area table for code-max balls; for Euclidean
     balls the full-ball shortcut where `_full_ball_centre` finds a centre,
-    else the column stencil where its grid and the scale's FFT grid, of P
-    cells, fit DENSE_LIMIT and _STENCIL_WEIGHT * (cover + _COLUMN_COST) *
-    columns <= P log2 P, else the circular FFT; a kd-tree for a scale whose
-    table or FFT grid would exceed DENSE_LIMIT cells; and a ValueError,
-    raised before any count, when that tree would exceed TREE_LIMIT cells.
-    A scale whose FFT grid fits builds its ball columns once, in the plan,
-    for whichever of the stencil and the FFT counts it.  The code-max tree
-    takes the table's reach as its radius.  The table, stencil and FFT
-    grids hold u = offsets // g, the offsets on the family's own lattice;
-    the shortcut weighs u by g^2, and the tree holds g u."""
+    else the filled-box count where the cells fill u's box and its grids
+    fit DENSE_LIMIT, else the column stencil where its grid and the scale's
+    FFT grid, of P cells, fit DENSE_LIMIT and _STENCIL_WEIGHT * (cover +
+    _COLUMN_COST) * columns <= P log2 P, else the circular FFT; a kd-tree
+    for a scale whose table or FFT grid would exceed DENSE_LIMIT cells; and
+    a ValueError, raised before any count, when that tree would exceed
+    TREE_LIMIT cells.  A filled scale, or one whose FFT grid fits, builds
+    its ball columns once, in the plan, for whichever of the filled count,
+    the stencil and the FFT counts it.  The code-max tree takes the table's
+    reach as its radius.  The table, filled, stencil and FFT grids hold u =
+    offsets // g, the offsets on the family's own lattice; the shortcut
+    weighs u by g^2, and the tree holds g u."""
     if len(fam) == 0:
         raise ValueError("regularity profile of an empty family")
     delta = fam.delta
@@ -463,6 +499,8 @@ def _scale_profile(fam: Family):
         # each centre's squared distance to its farthest box corner, the
         # shortcut's upper bound
         corner2 = np.sum(weights * np.maximum(u, u_shape - 1 - u) ** 2, axis=1)
+    # every cell of u's box is occupied
+    filled = cover == math.prod(u_shape.tolist())
     last = np.eye(fam.dim, dtype=np.int64)[-1]
     # grid sizes are products of Python ints: an int64 product can wrap to
     # a size that fits DENSE_LIMIT
@@ -482,6 +520,9 @@ def _scale_profile(fam: Family):
             clip = np.minimum(reach // stride, u_shape - 1)
             # past sum(g^2 clip^2), q admits every clipped offset alike
             q = min(q, int(np.sum(weights * clip * clip)))
+            if filled and math.prod(np.maximum(u_shape, 2 * clip + 2).tolist()) <= DENSE_LIMIT:
+                plan.append(("filled", clip, *_ball_columns(q, clip, weights)))
+                continue
             period = [next_fast_len(int(n + c)) for n, c in zip(u_shape, clip)]
             dense, radius = math.prod(period), ratio
             if dense <= DENSE_LIMIT:
@@ -502,7 +543,7 @@ def _scale_profile(fam: Family):
                 f"cells, over DENSE_LIMIT={DENSE_LIMIT})"
             )
 
-    table = tree = None
+    table = tree = keys = None
     max_counts = np.empty(radii.size, dtype=np.int64)
     argmax_elem = np.empty(radii.size, dtype=np.int64)
     for j, (path, *args) in enumerate(plan):
@@ -518,6 +559,10 @@ def _scale_profile(fam: Family):
             counts = _stencil_counts(*_prefix_grid(u, u_shape, clip, [-1]), cols, halves)
         elif path == "fft":
             counts = _ball_counts(u, *args)
+        elif path == "filled":
+            if keys is None:
+                keys = np.ravel_multi_index(tuple(u.T), u_shape)
+            counts = _filled_counts(keys, u_shape, *args)
         else:
             if tree is None:
                 tree = cKDTree((u * stride).astype(np.float64))

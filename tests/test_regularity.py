@@ -243,12 +243,15 @@ class TestProfilePaths:
         assert [regularity_constant(fam, 1.0).per_scale for fam in fams] == baselines
 
     def test_inexact_fft_counts_raise(self, grid64, monkeypatch):
+        # the whole grid is a filled box and takes no FFT; one cell less does
+        fam = _less_one_cell(grid64)
+        assert "fft" in _profile_paths(fam)[2]
         real = regularity.irfftn
         monkeypatch.setattr(
             "incgeom.regularity.irfftn", lambda *a, **k: real(*a, **k) + 0.4
         )
         with pytest.raises(FloatingPointError, match="0.25"):
-            regularity_constant(grid64, 1.0)
+            regularity_constant(fam, 1.0)
 
     def test_code_max_profile_uses_no_fft(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -266,10 +269,12 @@ class TestProfilePaths:
                                        delta=fam.delta, dim=3), 1.5)
 
     def test_dense_limit_compares_the_allocated_grid(self, grid64, monkeypatch):
-        # 64 x 64 points: at r = 1 (reach 64, clipped to 63) the FFT period is
-        # next_fast_len(127) = 128 per axis, the largest of any scale; linear
-        # padding by the whole kernel would need (64 + 128)^2 cells.  That
-        # scale is a full ball, so the shortcut is held off to reach the FFT.
+        # 64 x 64 points less one, no filled box: at r = 1 (reach 64, clipped
+        # to 63) the FFT period is next_fast_len(127) = 128 per axis, the
+        # largest of any scale; linear padding by the whole kernel would need
+        # (64 + 128)^2 cells.  That scale is a full ball, so the shortcut is
+        # held off to reach the FFT.
+        points = _less_one_cell(grid64)
         _hold_full_ball_off(monkeypatch)
         tree_scales = []
         real = regularity._counts_tree
@@ -279,10 +284,10 @@ class TestProfilePaths:
         )
         want = regularity.next_fast_len(127) ** 2
         monkeypatch.setattr("incgeom.regularity.DENSE_LIMIT", want)
-        baseline = regularity_constant(grid64, 1.5)
+        baseline = regularity_constant(points, 1.5)
         assert tree_scales == []
         monkeypatch.setattr("incgeom.regularity.DENSE_LIMIT", want - 1)
-        assert regularity_constant(grid64, 1.5) == baseline
+        assert regularity_constant(points, 1.5) == baseline
         assert tree_scales == [64.0]
         # the code-max path allocates one (n + 1)-per-axis summed-area table
         planes = construct_random("hyperplanes", 2, DELTA, 200, seed=1)
@@ -308,7 +313,7 @@ class TestProfilePaths:
         def refuse(*args, **kwargs):
             raise AssertionError("counted before the plan was complete")
 
-        for name in ("_stencil_counts", "_ball_counts", "_counts_tree"):
+        for name in ("_stencil_counts", "_ball_counts", "_filled_counts", "_counts_tree"):
             monkeypatch.setattr(f"incgeom.regularity.{name}", refuse)
         monkeypatch.setattr("incgeom.regularity.DENSE_LIMIT", 1)
         monkeypatch.setattr("incgeom.regularity.TREE_LIMIT", 1)
@@ -322,7 +327,7 @@ class TestProfilePaths:
         # refuse nothing; the three-cell line's ball is centred on its middle
         fam = _points((np.array(cells) + 0.5) * DELTA)
         want, _ = _reference_profile(fam)
-        for name in ("_stencil_counts", "_ball_counts", "_counts_tree"):
+        for name in ("_stencil_counts", "_ball_counts", "_filled_counts", "_counts_tree"):
             monkeypatch.setattr(f"incgeom.regularity.{name}", None)
         monkeypatch.setattr("incgeom.regularity.DENSE_LIMIT", 1)
         monkeypatch.setattr("incgeom.regularity.TREE_LIMIT", 1)
@@ -373,32 +378,50 @@ def _reference_profile(fam):
     return (radii, max_counts, first_idx[best], uniq.shape[0]), per_scale
 
 
+def _less_one_cell(fam):
+    """`fam` without its middle element: on the sharp points and the full
+    grid, the same box and lattice, no longer filled, so that its Euclidean
+    scales take the stencil and the FFT instead of the filled-box count."""
+    return Family(kind=fam.kind, elements=np.delete(fam.elements, len(fam) // 2, axis=0),
+                  delta=fam.delta, dim=fam.dim)
+
+
 def _hold_full_ball_off(mp):
     mp.setattr(regularity, "_full_ball_centre", lambda *args: None)
 
 
 _COUNTING_PATHS = {"_box_counts": "table", "_stencil_counts": "stencil", "_ball_counts": "fft",
-                   "_counts_tree": "tree"}
+                   "_filled_counts": "filled", "_counts_tree": "tree"}
 
 
 def _profile_and_counts(fam, paths=None):
     """`_scale_profile(fam)` with the full-ball shortcut held off, and the
     per-cell counts each scale's path made, recorded as the profile runs;
-    the path of each scale is appended to `paths`."""
-    per_scale = []
-    paths = [] if paths is None else paths
+    the path of each scale is appended to `paths`.  Every counter of the
+    module, any function whose name holds "_counts", is recorded, so that
+    a scale counted by one that `_COUNTING_PATHS` does not name fails here,
+    by its scale, instead of shifting the counts of every later scale."""
+    per_scale, names = [], []
+    counters = [name for name, value in vars(regularity).items()
+                if "_counts" in name and callable(value)]
     with pytest.MonkeyPatch.context() as mp:
         _hold_full_ball_off(mp)
-        for name, path in _COUNTING_PATHS.items():
-            real = getattr(regularity, name)
-
-            def record(*args, _real=real, _path=path):
+        for name in counters:
+            def record(*args, _real=getattr(regularity, name), _name=name):
                 per_scale.append(_real(*args))
-                paths.append(_path)
+                names.append(_name)
                 return per_scale[-1]
 
             mp.setattr(regularity, name, record)
         profile = regularity._scale_profile(fam)
+    radii = profile[0]
+    for r, name in zip(radii, names):
+        assert name in _COUNTING_PATHS, \
+            f"scale r={float(r)!r} was counted by {name}, which _COUNTING_PATHS does not name"
+    assert len(names) == radii.size, \
+        f"{len(names)} of {radii.size} scales were counted by a recorded counter"
+    if paths is not None:
+        paths.extend(_COUNTING_PATHS[name] for name in names)
     return profile, per_scale
 
 
@@ -689,8 +712,10 @@ def test_sharp_profile_mixes_stencil_and_fft(monkeypatch):
     # d = 3, delta = 2^-6: the small scales take the stencil, the larger ones
     # the FFT, and the profile is the FFT-only one with the rule held off.
     # The grids are counted on the points' (4, 2, 1) lattice, about an eighth
-    # of their box, so the cost rule already sends ratio 4 to the FFT
-    points, _ = construct_sharp(ConstructionSpec(d=3, delta=2.0**-6, s=1.75, t=1.75))
+    # of their box, so the cost rule already sends ratio 4 to the FFT.  The
+    # points fill that box, so one cell is taken out
+    points = _less_one_cell(construct_sharp(ConstructionSpec(d=3, delta=2.0**-6, s=1.75,
+                                                             t=1.75))[0])
     _, _, paths = _profile_paths(points)
     assert paths == ["stencil"] * 2 + ["fft"] * 5
     got = regularity._scale_profile(points)
@@ -706,7 +731,9 @@ def test_ball_columns_are_built_once_per_scale(monkeypatch):
     real_columns, real_centre = regularity._ball_columns, regularity._full_ball_centre
     monkeypatch.setattr(regularity, "_ball_columns",
                         lambda *args: calls.append(1) or real_columns(*args))
-    points, _ = construct_sharp(ConstructionSpec(d=3, delta=2.0**-6, s=1.75, t=1.75))
+    # the points less one cell: a filled box takes neither path
+    points = _less_one_cell(construct_sharp(ConstructionSpec(d=3, delta=2.0**-6, s=1.75,
+                                                             t=1.75))[0])
     for fam in (points, construct_random("points", 3, 2.0**-5, 2000, seed=3)):
         calls.clear()
         paths = _profile_paths(fam)[2]
@@ -770,6 +797,88 @@ def test_fft_counts_that_round_wrong_raise(value, monkeypatch):
     columns = regularity._ball_columns(2, np.array([2, 2, 1]), np.ones(3, dtype=np.int64))
     with pytest.raises(FloatingPointError, match="0.25 of positive integers"):
         regularity._ball_counts(offsets, *columns, [6, 5, 3])
+
+
+def _box_cells(shape, stride):
+    """Every cell of a box of `shape` on per-axis `stride`, in C order."""
+    axes = np.meshgrid(*[np.arange(n) * g for n, g in zip(shape, stride)], indexing="ij")
+    return np.stack(axes, -1).reshape(-1, len(shape))
+
+
+def _assert_filled_counts_equal_brute_force(cells, order, delta):
+    """The points at `cells[order]` fill their lattice box: with the full-ball
+    shortcut held off every scale takes the filled-box count, whose per-cell
+    counts, read in the cells' sorted order, maxima and first argmaxes are
+    those of the brute-force pair counts; and so is the profile with the
+    shortcut on."""
+    fam = _points((cells[order] + 0.5) * delta, delta)
+    paths = []
+    (radii, max_counts, argmax, cover), counts = _profile_and_counts(fam, paths)
+    assert paths == ["filled"] * radii.size and cover == len(cells)
+    _, first_idx = np.unique(cells[order], axis=0, return_index=True)
+    for r, got, top, arg in zip(radii, counts, max_counts, argmax):
+        want = _brute_force_counts(cells, r / delta)
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+        assert (top, arg) == (want.max(), first_idx[np.argmax(want)])
+    _assert_same_profile(regularity._scale_profile(fam), (radii, max_counts, argmax, cover))
+
+
+# filled lattice boxes of n_k cells on stride g_k per axis: a one-value
+# axis where n_k = 1, a single cell where every n_k is
+_FILLED_BOXES = st.integers(2, 4).flatmap(
+    lambda d: st.tuples(st.tuples(*[st.integers(1, {2: 12, 3: 6, 4: 4}[d])] * d),
+                        st.tuples(*[st.integers(1, 5)] * d))
+)
+
+
+@given(box=_FILLED_BOXES, delta=st.sampled_from([2.0**-3, 2.0**-4, 0.1]), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_filled_counts_equal_brute_force(box, delta, data):
+    # the elements come in any order, some repeated: the counts are read at u
+    cells = _box_cells(*box)
+    extra = data.draw(st.lists(st.integers(0, len(cells) - 1), max_size=20))
+    order = np.array(data.draw(st.permutations(list(range(len(cells))) + extra)), dtype=np.intp)
+    _assert_filled_counts_equal_brute_force(cells, order, delta)
+
+
+@pytest.mark.parametrize("shape,stride", [((1, 1), (3, 2)), ((1, 1, 1), (1, 1, 1)),
+                                          ((1, 1, 1, 1), (2, 3, 4, 5)), ((7, 1), (2, 5)),
+                                          ((3, 1, 4), (4, 1, 2)), ((1, 3, 1, 2), (1, 5, 1, 3))])
+def test_filled_counts_on_one_value_axes(shape, stride):
+    cells = _box_cells(shape, stride)
+    order = np.random.default_rng(len(cells)).permutation(len(cells))
+    _assert_filled_counts_equal_brute_force(cells, order, 2.0**-3)
+
+
+def test_filled_box_needs_only_its_own_grids_to_fit(grid64, monkeypatch):
+    # the 64 x 64 grid at delta = 2^-6: r = 1 is a full ball, and the filled
+    # count's grids span at most max(64, 2 * 32 + 2) = 66 cells per axis, at
+    # ratio 32.  From ratio 4 up, each FFT grid spans next_fast_len(64 + clip)
+    # > 66 per axis, so with room for no tree the other paths refuse those
+    assert all(regularity.next_fast_len(64 + c) > 66 for c in (4, 8, 16, 32))
+    want, _ = _reference_profile(grid64)
+    scales = []
+    real = regularity._filled_counts
+    monkeypatch.setattr(regularity, "_filled_counts",
+                        lambda *args: scales.append(args[2][0]) or real(*args))
+    monkeypatch.setattr(regularity, "DENSE_LIMIT", 66 * 66)
+    monkeypatch.setattr(regularity, "TREE_LIMIT", 1)
+    _assert_same_profile(regularity._scale_profile(grid64), want)
+    assert scales == [1, 2, 4, 8, 16, 32]
+    # one cell less is no filled box: the same limits refuse it
+    with pytest.raises(ValueError, match="too large .* r=0.0625"):
+        regularity._scale_profile(_less_one_cell(grid64))
+    # one cell less room, and ratio 32 is refused too
+    monkeypatch.setattr(regularity, "DENSE_LIMIT", 66 * 66 - 1)
+    with pytest.raises(ValueError, match="too large .* r=0.5"):
+        regularity._scale_profile(grid64)
+
+
+def test_a_counter_the_spy_does_not_name_fails_by_its_scale(grid64, monkeypatch):
+    # the grid's first scale, r = delta, takes the filled-box count
+    monkeypatch.delitem(_COUNTING_PATHS, "_filled_counts")
+    with pytest.raises(AssertionError, match=r"scale r=0\.015625 was counted by _filled_counts"):
+        _profile_and_counts(grid64)
 
 
 def _shortcut_off_profile(fam):
@@ -1211,7 +1320,9 @@ class TestLatticeSeparation:
         assert lattice is not None and _same_bits(lattice, got, kd)
         assert grids and all(g.dtype == bool and g.itemsize == 1 for g, _ in grids)
         grids.clear()
-        regularity._scale_profile(points)
+        # the points fill their lattice box and build no prefix grid; one
+        # cell less, the stencil scales do
+        regularity._scale_profile(_less_one_cell(points))
         assert grids and all(g.dtype == np.int32 for g, _ in grids)
 
     def test_delta_whose_square_underflows_takes_the_kd_tree(self):
